@@ -9,6 +9,8 @@
 // solve per node, once with the warm-started incremental solver — verifies
 // the objectives agree, and writes the per-model wall time / node / LP /
 // pivot counters to BENCH_solver_micro.json (in the working directory).
+// The file's "env" record names the build type, compiler, hardware thread
+// count and git revision that produced it.
 
 #include <chrono>
 #include <cmath>
@@ -23,6 +25,16 @@
 #include "src/solver/incremental_lp.h"
 #include "src/solver/mip.h"
 #include "src/solver/testing/placement_model.h"
+
+#ifndef MEDEA_BENCH_BUILD_TYPE
+#define MEDEA_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef MEDEA_BENCH_COMPILER
+#define MEDEA_BENCH_COMPILER "unknown"
+#endif
+#ifndef MEDEA_BENCH_GIT_SHA
+#define MEDEA_BENCH_GIT_SHA "unknown"
+#endif
 
 namespace medea::solver {
 namespace {
@@ -81,13 +93,12 @@ struct RunResult {
   Solution solution;
 };
 
-RunResult RunOnce(const Model& m, bool incremental, int threads = 1, bool decompose = false) {
+RunResult RunOnce(const Model& m, bool incremental, bool decompose = false) {
   MipOptions options;
   options.time_limit_seconds = 0.0;  // run each search to completion
   options.relative_gap = 0.0;
   options.absolute_gap = 1e-9;
   options.use_incremental_lp = incremental;
-  options.num_threads = threads;
   options.decompose = decompose;
   RunResult r;
   const auto start = std::chrono::steady_clock::now();
@@ -237,87 +248,12 @@ int RunRestartMicrobench(bench::JsonRecords& out) {
   return failures;
 }
 
-// ---- Thread sweep: parallel branch and bound ------------------------------
-//
-// For every model size, runs the warm-started search at 1/2/4/8 worker
-// threads (seeds summed, searches run to completion with exact gaps, so all
-// configurations must certify the same objective) and records wall time,
-// nodes explored, steals and the speedup over the serial run. The
-// "hardware_threads" env record lets tools/check_bench.py skip the speedup
-// floor on machines with fewer cores than workers (a 4-thread search cannot
-// beat serial on a 1-core container).
-int RunThreadSweep(bench::JsonRecords& out) {
-  bench::PrintHeader("Solver micro: parallel branch and bound thread sweep",
-                     "identical certified objectives at every thread count");
-  bench::PrintRow({"model", "threads", "wall ms", "nodes", "steals", "speedup", "objective"});
-
-  const std::vector<std::pair<int, int>> kSizes = {{10, 5}, {12, 6}, {16, 8}, {20, 10}};
-  const std::vector<uint64_t> kSeeds = {3, 5, 7, 11, 13};
-  const std::vector<int> kThreads = {1, 2, 4, 8};
-  out.Begin()
-      .Field("kind", "env")
-      .Field("hardware_threads",
-             static_cast<long long>(std::thread::hardware_concurrency()))
-      .End();
-
-  int failures = 0;
-  for (const auto& [containers, nodes] : kSizes) {
-    const std::string label = std::to_string(containers) + "x" + std::to_string(nodes);
-    std::vector<double> serial_objective(kSeeds.size(), 0.0);
-    double serial_wall = 0.0;
-    int model_vars = 0;
-    for (const int threads : kThreads) {
-      double wall = 0.0;
-      long long nodes_explored = 0;
-      long long steals = 0;
-      bool objectives_match = true;
-      for (size_t s = 0; s < kSeeds.size(); ++s) {
-        const Model m = PlacementModel(containers, nodes, kSeeds[s]);
-        model_vars = m.num_variables();
-        const RunResult r = RunOnce(m, /*incremental=*/true, threads);
-        wall += r.wall_seconds;
-        nodes_explored += r.stats.nodes_explored;
-        steals += r.stats.steals;
-        if (threads == 1) {
-          serial_objective[s] = r.solution.objective;
-        }
-        objectives_match = objectives_match &&
-                           r.solution.status == SolveStatus::kOptimal &&
-                           std::fabs(r.solution.objective - serial_objective[s]) < 1e-6;
-      }
-      if (threads == 1) {
-        serial_wall = wall;
-      }
-      const double speedup = wall > 0.0 ? serial_wall / wall : 0.0;
-      out.Begin()
-          .Field("kind", "threads")
-          .Field("model", label)
-          .Field("vars", model_vars)
-          .Field("threads", static_cast<long long>(threads))
-          .Field("seeds", static_cast<long long>(kSeeds.size()))
-          .Field("wall_seconds", wall)
-          .Field("nodes_explored", nodes_explored)
-          .Field("steals", steals)
-          .Field("speedup_vs_serial", speedup)
-          .Field("objectives_match", objectives_match)
-          .End();
-      bench::PrintRow({label, std::to_string(threads), bench::Fmt(wall * 1e3),
-                       std::to_string(nodes_explored), std::to_string(steals),
-                       bench::Fmt(speedup) + "x",
-                       objectives_match ? "match" : "MISMATCH"});
-      if (!objectives_match) {
-        ++failures;
-      }
-    }
-  }
-  return failures;
-}
-
 // ---- Decomposition sweep: monolithic vs component-decomposed --------------
 //
 // Block-diagonal placement models (sparse tag graphs: containers only have
-// candidate nodes inside their own block) solved twice at 4 worker threads
-// with exact gaps — once monolithically, once with MipOptions::decompose —
+// candidate nodes inside their own block) solved twice with exact gaps —
+// once monolithically, once with MipOptions::decompose (components solved
+// one after another) —
 // and the certified objectives compared. Branch and bound is exponential in
 // the component size, so the decomposed path's k small trees beat the one
 // big tree by orders of magnitude; tools/check_bench.py enforces a speedup
@@ -358,9 +294,8 @@ int RunDecompositionSweep(bench::JsonRecords& out) {
       const Model m =
           DecomposablePlacementModel(tier.containers, tier.nodes, tier.blocks, seed);
       model_vars = m.num_variables();
-      const RunResult mono = RunOnce(m, /*incremental=*/true, /*threads=*/4);
-      const RunResult dec =
-          RunOnce(m, /*incremental=*/true, /*threads=*/4, /*decompose=*/true);
+      const RunResult mono = RunOnce(m, /*incremental=*/true);
+      const RunResult dec = RunOnce(m, /*incremental=*/true, /*decompose=*/true);
       mono_wall += mono.wall_seconds;
       dec_wall += dec.wall_seconds;
       mono_nodes += mono.stats.nodes_explored;
@@ -415,6 +350,14 @@ int RunComparison() {
   const std::vector<std::pair<int, int>> kSizes = {{10, 5}, {12, 6}, {16, 8}, {20, 10}};
   const std::vector<uint64_t> kSeeds = {3, 5, 7, 11, 13};
   bench::JsonRecords out;
+  out.Begin()
+      .Field("kind", "env")
+      .Field("build_type", MEDEA_BENCH_BUILD_TYPE)
+      .Field("compiler", MEDEA_BENCH_COMPILER)
+      .Field("hardware_threads",
+             static_cast<long long>(std::thread::hardware_concurrency()))
+      .Field("git_sha", MEDEA_BENCH_GIT_SHA)
+      .End();
   int failures = 0;
   long long cold_pivots_total = 0;
   long long warm_pivots_total = 0;
@@ -501,7 +444,6 @@ int RunComparison() {
   bench::PrintRow({"TOTAL", "ratio", bench::Fmt(total_wall_ratio) + "x", "", "",
                    bench::Fmt(total_pivot_ratio) + "x", "", ""});
   failures += RunRestartMicrobench(out);
-  failures += RunThreadSweep(out);
   failures += RunDecompositionSweep(out);
   if (!out.WriteFile("BENCH_solver_micro.json")) {
     ++failures;

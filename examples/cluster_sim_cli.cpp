@@ -9,18 +9,14 @@
 //                   [--interval MS] [--minutes M] [--migration MS]
 //                   [--conflict resubmit|kill|reserve] [--seed S]
 //                   [--runtime] [--runtime-wall-ms MS]
-//                   [--solver-threads N] [--solver-decompose]
+//                   [--solver-decompose]
 //                   [--no-solver-cuts] [--no-solver-pseudo-cost]
 //                   [--metrics-out FILE] [--trace-out FILE]
 //
-// --solver-threads N (default 1) runs each ILP scheduling cycle's
-// branch-and-bound with N worker threads (parallel tree search with work
-// stealing; see docs/solver.md). Only the medea-ilp scheduler uses it.
-//
 // --solver-decompose splits each cycle ILP into the connected components of
-// its variable-row incidence graph and solves them as independent sub-MIPs
-// across the worker budget, with a relax-and-round fast lane for large
-// components (see docs/solver.md). Only the medea-ilp scheduler uses it.
+// its variable-row incidence graph and solves them as independent sub-MIPs,
+// largest first, with a relax-and-round fast lane for large components (see
+// docs/solver.md). Only the medea-ilp scheduler uses it.
 //
 // --no-solver-cuts disables the root cover/clique cutting planes the ILP
 // scheduler generates from the placement capacity rows by default
@@ -85,9 +81,6 @@ struct Options {
   // simulated horizon into ~`runtime_wall_ms` of wall time.
   bool runtime_mode = false;
   SimTimeMs runtime_wall_ms = 3000;
-  // Branch-and-bound worker threads for the ILP scheduler's per-cycle solve
-  // (SchedulerConfig::solver_threads). Must be >= 1.
-  int solver_threads = 1;
   // Component-decomposed cycle ILP (SchedulerConfig::solver_decompose).
   bool solver_decompose = false;
   // Root cover/clique cuts for the cycle ILP (SchedulerConfig::solver_cuts).
@@ -103,7 +96,6 @@ std::unique_ptr<LraScheduler> MakeLraScheduler(const Options& options) {
   SchedulerConfig config;
   config.node_pool_size = static_cast<int>(std::min<size_t>(options.nodes, 96));
   config.ilp_time_limit_seconds = 1.0;
-  config.solver_threads = options.solver_threads;
   config.solver_decompose = options.solver_decompose;
   config.solver_cuts = options.solver_cuts;
   config.solver_pseudo_cost = options.solver_pseudo_cost;
@@ -171,15 +163,6 @@ bool ParseArgs(int argc, char** argv, Options& options) {
       options.runtime_mode = true;
     } else if (flag == "--runtime-wall-ms") {
       options.runtime_wall_ms = std::atol(next());
-    } else if (flag == "--solver-threads") {
-      options.solver_threads = std::atoi(next());
-      if (options.solver_threads < 1) {
-        std::fprintf(stderr,
-                     "--solver-threads must be a positive integer, got '%s' "
-                     "(1 = serial branch and bound)\n",
-                     argv[i]);
-        std::exit(2);
-      }
     } else if (flag == "--solver-decompose") {
       options.solver_decompose = true;
     } else if (flag == "--solver-cuts") {
@@ -362,7 +345,7 @@ int main(int argc, char** argv) {
                 "          [--gridmix-frac F] [--interval MS] [--minutes M]\n"
                 "          [--migration MS] [--conflict resubmit|kill|reserve] [--seed S]\n"
                 "          [--runtime] [--runtime-wall-ms MS]\n"
-                "          [--solver-threads N] [--solver-decompose]\n"
+                "          [--solver-decompose]\n"
                 "          [--no-solver-cuts] [--no-solver-pseudo-cost]\n"
                 "          [--metrics-out FILE] [--trace-out FILE]\n"
                 "       %s --scenario FILE\n",

@@ -308,9 +308,13 @@ void PlacementService::RequeueOrRejectLocked(PendingRequest request) {
     if (obs::MetricsEnabled()) {
       obs::Count("service.lras_rejected");
     }
-    const ApplicationId app = request.request.app;
-    MutateManagerLocked(
-        [app](ConstraintManager& manager) { manager.RemoveApplicationConstraints(app); });
+    // A rejected failover leaves the application's surviving containers
+    // deployed, and they stay constrained.
+    if (!request.is_failover) {
+      const ApplicationId app = request.request.app;
+      MutateManagerLocked(
+          [app](ConstraintManager& manager) { manager.RemoveApplicationConstraints(app); });
+    }
     return;
   }
   ++metrics_.resubmissions;

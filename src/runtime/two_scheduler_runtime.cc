@@ -431,7 +431,11 @@ void TwoSchedulerRuntime::CommitEnvelope(PlanEnvelope envelope) {
 void TwoSchedulerRuntime::RequeueOrReject(PendingLra lra) {
   if (lra.attempts >= config_.max_lra_attempts) {
     ++metrics_.lras_rejected;
-    manager_.RemoveApplicationConstraints(lra.request.app);
+    // A rejected failover leaves the application's surviving containers
+    // deployed, and they stay constrained.
+    if (!lra.is_failover) {
+      manager_.RemoveApplicationConstraints(lra.request.app);
+    }
     return;
   }
   ++metrics_.lra_resubmissions;

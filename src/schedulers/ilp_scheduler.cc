@@ -611,10 +611,6 @@ PlacementPlan MedeaIlpScheduler::Place(const PlacementProblem& problem) {
 
   solver::MipOptions options;
   options.time_limit_seconds = config_.ilp_time_limit_seconds;
-  // Parallel branch and bound (SchedulerConfig::solver_threads /
-  // --solver-threads): same certified objective, lower wall-clock per cycle
-  // on multi-core hosts.
-  options.num_threads = config_.solver_threads;
   // Component decomposition (SchedulerConfig::solver_decompose /
   // --solver-decompose): sparse tag graphs separate into independent
   // sub-MIPs, each exponentially cheaper than the stitched model.

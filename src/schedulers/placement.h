@@ -161,17 +161,12 @@ struct SchedulerConfig {
   Resource rmin = Resource(2048, 1);
   // ILP solve budget per cycle.
   double ilp_time_limit_seconds = 2.0;
-  // Branch-and-bound worker threads for the cycle ILP
-  // (MipOptions::num_threads). 1 = serial; >1 explores the tree with a
-  // work-stealing worker pool — same certified objective, lower wall-clock
-  // on multi-core hosts. Exposed on the CLI as --solver-threads.
-  int solver_threads = 1;
   // Component decomposition for the cycle ILP (MipOptions::decompose): split
   // the placement model into the connected components of its variable-row
   // incidence graph — disjoint rack/tag neighborhoods — and solve them as
-  // independent sub-MIPs across solver_threads workers, with a
-  // relax-and-round fast lane for large components. Exposed on the CLI as
-  // --solver-decompose; see docs/solver.md.
+  // independent sub-MIPs, largest first, with a relax-and-round fast lane
+  // for large components. Exposed on the CLI as --solver-decompose; see
+  // docs/solver.md.
   bool solver_decompose = false;
   // Root cutting planes for the cycle ILP (MipOptions::cuts.enable): derive
   // cover and clique inequalities from the per-node capacity rows before

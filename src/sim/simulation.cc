@@ -221,7 +221,11 @@ void Simulation::RunLraCycle() {
     ++lra.attempts;
     if (lra.attempts >= config_.max_lra_attempts) {
       ++metrics_.lras_rejected;
-      manager_.RemoveApplicationConstraints(lra.request.app);
+      // A rejected failover leaves the application's surviving containers
+      // deployed, and they stay constrained.
+      if (!lra.is_failover) {
+        manager_.RemoveApplicationConstraints(lra.request.app);
+      }
       task_scheduler_.ReleaseReservation(lra.request.app);
     } else {
       ++metrics_.lra_resubmissions;

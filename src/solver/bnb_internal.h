@@ -1,14 +1,12 @@
 // Copyright (c) Medea reproduction authors.
-// Internals shared by the serial (mip.cc) and parallel (mip_parallel.cc)
-// branch-and-bound engines: the shared atomic search budget, the
-// deterministic branching perturbation, and the branching-variable rule.
-// Not installed; solver-internal only.
+// Branch-and-bound internals shared by mip.cc, cuts.cc and decompose.cc: the
+// search budget, the deterministic branching perturbation, and the
+// branching-variable rule. Not installed; solver-internal only.
 
 #ifndef SRC_SOLVER_BNB_INTERNAL_H_
 #define SRC_SOLVER_BNB_INTERNAL_H_
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -22,18 +20,6 @@ namespace medea::solver::internal {
 
 using Clock = std::chrono::steady_clock;
 
-// Worker-thread cap shared by every engine; see MipOptions::num_threads.
-inline constexpr int kMaxSolverThreads = 64;
-
-// Effective worker count: deterministic mode forfeits parallelism for a
-// reproducible (serial) tree; see MipOptions::deterministic.
-inline int EffectiveThreads(const MipOptions& options) {
-  if (options.deterministic) {
-    return 1;
-  }
-  return std::clamp(options.num_threads, 1, kMaxSolverThreads);
-}
-
 // Fraction of the remaining global budget a single node LP may consume.
 // Deriving the per-LP cap from the remaining budget *at dispatch time* —
 // instead of handing every LP the entire remainder — keeps one degenerate
@@ -41,11 +27,7 @@ inline int EffectiveThreads(const MipOptions& options) {
 // on with the other 75% after cutting the offender off).
 inline constexpr double kNodeLpBudgetShare = 0.25;
 
-// Wall-clock deadline + node-cap accounting for one SolveMip call. A single
-// instance is shared by every worker of a parallel search (and used as-is by
-// the serial search): nodes are claimed from one atomic counter, and the
-// hit_time_limit / hit_node_limit verdicts latch exactly once no matter how
-// many workers observe exhaustion concurrently.
+// Wall-clock deadline + node-cap accounting for one branch-and-bound search.
 class SearchBudget {
  public:
   explicit SearchBudget(const MipOptions& options)
@@ -62,28 +44,28 @@ class SearchBudget {
 
   bool TimeUp() const { return deadline_set_ && Clock::now() >= deadline_; }
 
-  // Claims one search node against the shared cap. Returns false when the
-  // cap is exhausted; the first failing claim latches hit_node_limit.
+  // Claims one search node against the cap. Returns false (and sets
+  // hit_node_limit) when the cap is exhausted.
   bool ClaimNode() {
-    if (nodes_claimed_.fetch_add(1, std::memory_order_relaxed) >= max_nodes_) {
-      hit_node_limit_.store(true, std::memory_order_relaxed);
+    if (nodes_claimed_++ >= max_nodes_) {
+      hit_node_limit_ = true;
       return false;
     }
     return true;
   }
 
-  // Latches hit_time_limit if the global deadline has actually passed (an LP
+  // Sets hit_time_limit if the global deadline has actually passed (an LP
   // cut off by its fair-share cap is NOT a global timeout). Returns whether
   // the deadline has passed.
   bool LatchTimeLimitIfExpired() {
     if (!TimeUp()) {
       return false;
     }
-    hit_time_limit_.store(true, std::memory_order_relaxed);
+    hit_time_limit_ = true;
     return true;
   }
 
-  // A node relaxation came back kTimeLimit. Latches hit_time_limit when the
+  // A node relaxation came back kTimeLimit. Sets hit_time_limit when the
   // global deadline has passed, and also when the USER'S OWN LpOptions time
   // limit was in force (they asked for that cutoff, so the solve must report
   // it). An expiry caused only by the fair-share cap is neither: the search
@@ -93,7 +75,7 @@ class SearchBudget {
   bool OnNodeLpTimeLimit() {
     const bool deadline_passed = LatchTimeLimitIfExpired();
     if (user_lp_limit_set_) {
-      hit_time_limit_.store(true, std::memory_order_relaxed);
+      hit_time_limit_ = true;
     }
     return deadline_passed;
   }
@@ -115,27 +97,26 @@ class SearchBudget {
     return lp;
   }
 
-  bool hit_time_limit() const { return hit_time_limit_.load(std::memory_order_relaxed); }
-  bool hit_node_limit() const { return hit_node_limit_.load(std::memory_order_relaxed); }
+  bool hit_time_limit() const { return hit_time_limit_; }
+  bool hit_node_limit() const { return hit_node_limit_; }
 
  private:
   const bool deadline_set_;
   const bool user_lp_limit_set_;
   const long long max_nodes_;
   Clock::time_point deadline_;
-  std::atomic<long long> nodes_claimed_{0};
-  std::atomic<bool> hit_time_limit_{false};
-  std::atomic<bool> hit_node_limit_{false};
+  long long nodes_claimed_ = 0;
+  bool hit_time_limit_ = false;
+  bool hit_node_limit_ = false;
 };
 
 // The deterministic branching perturbation (MipOptions::branching_perturbation
 // and docs/solver.md): makes the node LP optimum unique so branching no
 // longer depends on which vertex of an optimal face a node LP solver happens
-// to return. Applied once per search to the shared root model; every worker
-// of a parallel search copies the already-perturbed model, so all node
-// solvers — across workers and across warm/cold configurations — land on the
-// same vertices. `slack` bounds |perturbed - true| objective over the whole
-// variable box; adding it to every node bound keeps pruning sound.
+// to return. Applied once per search to the root model, so the node solvers
+// of the warm and cold configurations land on the same vertices. `slack`
+// bounds |perturbed - true| objective over the whole variable box; adding it
+// to every node bound keeps pruning sound.
 struct Perturbation {
   bool active = false;
   std::vector<double> original_objective;
@@ -163,7 +144,7 @@ struct Perturbation {
         continue;  // unbounded columns would make the slack term infinite
       }
       // Distinct deterministic value in (base/4, base], keyed by index only —
-      // identical for every solver configuration and worker count.
+      // identical for every solver configuration.
       const double frac = std::fmod(static_cast<double>(j + 1) * 0.6180339887498949, 1.0);
       const double delta = base * (0.25 + 0.75 * frac);
       model.SetObjectiveCoefficient(j, col.objective + sign * delta);
@@ -222,10 +203,7 @@ inline int MostFractionalVar(const Model& model, const std::vector<double>& x,
 // dual-bound degradation per unit of fractionality, kept separately for the
 // down (floor) and up (ceil) child. Initialized by root strong branching
 // (InitPseudoCostsAtRoot in cuts.h), updated from observed child bounds as
-// the search dives. The parallel engine gives every worker a COPY of the
-// root-initialized tables — workers then update privately, so scores drift
-// between workers but every individual decision stays deterministic given
-// the node's history.
+// the search dives.
 struct PseudoCosts {
   std::vector<double> down_sum, up_sum;
   std::vector<int> down_count, up_count;
@@ -278,9 +256,8 @@ struct PseudoCosts {
 // delegates to MostFractionalVar; kPseudoCost maximizes the product score
 //   max(eps, avg_down * f_down) * max(eps, avg_up * f_up)
 // with a RELATIVE tie band and lowest-index tie-break, so last-bit noise in
-// the LP values cannot make the warm and cold configurations (or two
-// workers replaying the same node) pick different variables. Returns -1 when
-// x is integral.
+// the LP values cannot make the warm and cold configurations pick different
+// variables. Returns -1 when x is integral.
 inline int SelectBranchVariable(const Model& model, const std::vector<double>& x,
                                 double integrality_tol, BranchingRule rule,
                                 const PseudoCosts& pc) {
@@ -324,15 +301,9 @@ inline int SelectBranchVariable(const Model& model, const std::vector<double>& x
   return -1;  // unreachable
 }
 
-// Parallel branch and bound (mip_parallel.cc) over a shared work-stealing
-// frontier. Preconditions (enforced by the dispatcher in mip.cc): the model
-// has integer variables, options.num_threads >= 2 and !options.deterministic.
-// A complete run returns the same certified objective as the serial search.
-Solution SolveMipParallel(const Model& model, const MipOptions& options, MipStats* stats);
-
 // The full solve pipeline behind the public SolveMip, without its obs span
 // and counter emission: presolve, the decomposition dispatch, the LP-only
-// path, serial or parallel branch and bound, and incumbent certification.
+// path, branch and bound, and incumbent certification.
 // The decomposed path (decompose.cc) re-enters it for component sub-solves
 // (with decompose off), so sub-solve statistics roll up into one MipStats
 // and observability counters are emitted exactly once per public call.

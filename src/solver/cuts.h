@@ -87,8 +87,8 @@ struct StrongBranchStats {
 // root-LP candidates (MipOptions::strong_branch_candidates, two child LPs
 // each). Uses the DENSE solver exclusively so the resulting tables — and
 // therefore every branching decision seeded by them — are identical across
-// the warm, cold, serial and parallel configurations. `pc` is resized to the
-// model's variable count; tables stay zero when the rule is not kPseudoCost.
+// the warm and cold configurations. `pc` is resized to the model's variable
+// count; tables stay zero when the rule is not kPseudoCost.
 void InitPseudoCostsAtRoot(const Model& model, const MipOptions& options, PseudoCosts* pc,
                            StrongBranchStats* stats);
 

@@ -7,11 +7,9 @@
 //   1. DecomposeModel: union-find over the variable-row incidence graph.
 //      One component, nothing to gain -> monolithic solve, same engine as
 //      before, only the component accounting recorded.
-//   2. Components are solved largest-first by a pool of
-//      min(num_threads, components) workers pulling from one atomic index.
-//      Each component sub-solve is serial (component-level parallelism
-//      replaces tree-level parallelism) and gets the remaining global
-//      wall-clock budget at dispatch time as its own deadline.
+//   2. Components are solved one after another, largest first. Each
+//      component sub-solve gets the remaining global wall-clock budget at
+//      dispatch time as its own deadline.
 //   3. Per component: a relax-and-round fast lane (one LP relaxation, then
 //      the root rounding repair from the exact engines applied to a scratch
 //      copy) whose result is accepted only when the solver-side certifier
@@ -29,15 +27,12 @@
 #include "src/solver/decompose.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <numeric>
-#include <string>
 #include <utility>
 #include <vector>
 
-#include "src/common/sync/thread.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/solver/bnb_internal.h"
@@ -218,8 +213,8 @@ bool CheckIncumbent(const Model& model, const std::vector<double>& values,
 namespace internal {
 namespace {
 
-// Accounting of one component solve, merged into the caller's MipStats
-// after the workers join.
+// Accounting of one component solve, merged into the caller's MipStats by
+// the stitcher.
 struct ComponentResult {
   Solution solution;
   MipStats stats;
@@ -243,7 +238,6 @@ void AccumulateStats(const MipStats& in, MipStats* out) {
   out->presolve.redundant_rows += in.presolve.redundant_rows;
   out->presolve.bounds_tightened += in.presolve.bounds_tightened;
   out->reduced_cost_fixed += in.reduced_cost_fixed;
-  out->steals += in.steals;
 }
 
 // Analytic solve of a row-less singleton component: push the variable to
@@ -362,7 +356,7 @@ FastLane TryRelaxAndRound(const Model& sub, const MipOptions& options,
 
 ComponentResult SolveOneComponent(const Model& model, const Component& comp,
                                   const MipOptions& options, bool deadline_active,
-                                  Clock::time_point deadline, int num_components) {
+                                  Clock::time_point deadline) {
   obs::ScopedSpan span("solver.component", "solver");
   ComponentResult res;
   if (comp.rows.empty() && comp.vars.size() == 1) {
@@ -379,11 +373,6 @@ ComponentResult SolveOneComponent(const Model& model, const Component& comp,
   sub_options.decompose = false;
   // The dispatcher certifies the stitched full solution.
   sub_options.certify = false;
-  // Component-level parallelism replaces tree-level parallelism: with
-  // several components in flight each sub-search stays serial; a model that
-  // yielded one real component plus trivia keeps the full worker budget for
-  // its single tree.
-  sub_options.num_threads = num_components > 1 ? 1 : options.num_threads;
   // Sub-searches are compared by certified objective only (tree shape is
   // per-component anyway), so the basis-dependent fixing is pure win here.
   sub_options.reduced_cost_fixing = true;
@@ -496,33 +485,12 @@ Solution SolveMipDecomposed(const Model& model, const MipOptions& options, MipSt
     }
   }
 
-  // Solve components largest-first: a pool of min(threads, components)
-  // workers pulls indices from one atomic counter; each result lands in its
-  // own slot, so the only cross-thread traffic is the counter itself.
-  std::vector<ComponentResult> results(static_cast<size_t>(num_components));
-  const int workers = std::min(EffectiveThreads(options), num_components);
-  std::atomic<int> next{0};
-  auto drain = [&model, &dec, &options, &results, &next, deadline_active, deadline,
-                num_components]() {
-    for (;;) {
-      const int i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= num_components) {
-        return;
-      }
-      results[static_cast<size_t>(i)] =
-          SolveOneComponent(model, dec.components[static_cast<size_t>(i)], options,
-                            deadline_active, deadline, num_components);
-    }
-  };
-  if (workers <= 1) {
-    drain();
-  } else {
-    std::vector<sync::Thread> pool;
-    pool.reserve(static_cast<size_t>(workers));
-    for (int i = 0; i < workers; ++i) {
-      pool.emplace_back("medea-comp-" + std::to_string(i), drain);
-    }
-  }  // joins every pool thread
+  // Solve components in order, largest first (DecomposeModel's order).
+  std::vector<ComponentResult> results;
+  results.reserve(static_cast<size_t>(num_components));
+  for (const Component& comp : dec.components) {
+    results.push_back(SolveOneComponent(model, comp, options, deadline_active, deadline));
+  }
 
   // Stitch: fixed variables contribute their bound value, component
   // solutions map back through Component::vars.
@@ -567,10 +535,6 @@ Solution SolveMipDecomposed(const Model& model, const MipOptions& options, MipSt
       all_bounded = false;
     }
   }
-  if (stats != nullptr) {
-    stats->threads_used = workers;
-  }
-
   // Any infeasible component proves the whole model infeasible; any
   // unbounded one (absent infeasibility) makes it unbounded. A component
   // with no incumbent at all leaves no full assignment to stitch.

@@ -6,13 +6,12 @@
 // components (disjoint rack/tag neighborhoods share no rows). Branch and
 // bound is exponential in the component size, so solving k small components
 // independently is exponentially cheaper than attacking the stitched model
-// monolithically, and the components parallelize embarrassingly across the
-// existing worker budget (MipOptions::num_threads).
+// monolithically.
 //
 // This header exposes the decomposition itself (union-find over the
 // variable-row incidence graph) and the component sub-model extraction, so
 // tests can pin down membership and index mapping; the full decomposed
-// solve — parallel component scheduling, the relax-and-round fast lane, and
+// solve — in-order component sub-solves, the relax-and-round fast lane, and
 // solution stitching — lives behind internal::SolveMipDecomposed and is
 // dispatched from SolveMip via MipOptions::decompose.
 
@@ -37,8 +36,8 @@ struct Component {
 };
 
 struct Decomposition {
-  // Components ordered by descending num_integer (largest search first, for
-  // load balance when scheduling across workers), row-less bound-only
+  // Components ordered by descending num_integer (largest search first, so
+  // it gets the most of the wall-clock budget), row-less bound-only
   // components last.
   std::vector<Component> components;
   // Global variable index -> index into `components`; -1 for fixed

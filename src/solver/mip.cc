@@ -110,8 +110,7 @@ class BranchAndBound {
   std::unique_ptr<IncrementalLpSolver> inc_;
   const MipOptions& opts_;
   MipStats* stats_;
-  // Wall-clock / node-cap accounting (shared-atomic class, trivially used
-  // single-threaded here; the hit_* verdicts latch exactly once).
+  // Wall-clock / node-cap accounting.
   internal::SearchBudget budget_;
 
   bool have_incumbent_ = false;
@@ -198,9 +197,7 @@ void BranchAndBound::Dfs(int depth, double parent_bound, int parent_branch_var, 
 
   const Solution lp = NodeLp();
   if (lp.status == SolveStatus::kInfeasible) {
-    // Deliberately no pseudo-cost observation: infeasible children carry no
-    // finite bound, and skipping them keeps the serial and parallel updates
-    // identical.
+    // No pseudo-cost observation: infeasible children carry no finite bound.
     return;
   }
   if (lp.status != SolveStatus::kOptimal) {
@@ -401,8 +398,7 @@ Solution BranchAndBound::Run() {
 // MipOptions::certify: re-verify a returned incumbent against the model —
 // primal feasibility of every row/bound plus integrality of every integer
 // variable — and abort the process on mismatch (a wrong incumbent means the
-// search itself is broken; nothing downstream can be trusted). Runs on the
-// final incumbent of serial and parallel searches alike.
+// search itself is broken; nothing downstream can be trusted).
 void CertifyIncumbent(const Model& model, const MipOptions& options, const Solution& solution) {
   if (!options.certify || !solution.HasSolution()) {
     return;
@@ -484,16 +480,8 @@ Solution SolveMipImpl(const Model& model, const MipOptions& options, MipStats* s
     CertifyIncumbent(model, options, solution);
     return solution;
   }
-  const int threads = EffectiveThreads(options);
-  Solution solution;
-  if (threads > 1) {
-    MipOptions parallel_options = options;
-    parallel_options.num_threads = threads;
-    solution = SolveMipParallel(model, parallel_options, stats);
-  } else {
-    BranchAndBound bnb(model, options, stats);
-    solution = bnb.Run();
-  }
+  BranchAndBound bnb(model, options, stats);
+  Solution solution = bnb.Run();
   CertifyIncumbent(model, options, solution);
   return solution;
 }
@@ -538,14 +526,6 @@ Solution SolveMip(const Model& model, const MipOptions& options, MipStats* stats
       obs::SetGauge("solver.components", effective_stats->components);
       obs::Count("solver.relax_round.accepted", effective_stats->relax_round_accepted);
       obs::Count("solver.relax_round.rejected", effective_stats->relax_round_rejected);
-    }
-    if (effective_stats->threads_used > 1) {
-      obs::SetGauge("solver.threads", effective_stats->threads_used);
-      obs::Count("solver.worker.steals", effective_stats->steals);
-      for (const MipStats::WorkerStats& w : effective_stats->per_worker) {
-        obs::Observe("solver.worker.nodes",
-                     static_cast<double>(w.nodes_explored));
-      }
     }
   }
   return solution;

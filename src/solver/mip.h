@@ -93,32 +93,12 @@ struct MipOptions {
   // Self-certification (src/verify): after the search, re-verify the
   // returned incumbent against the Model (bounds, rows, integrality) and
   // abort on mismatch. Enabled by the verify layer's audit hook so that
-  // every audited scheduling cycle also certifies its MIP incumbent. Runs on
-  // the final incumbent regardless of which worker of a parallel search
-  // found it.
+  // every audited scheduling cycle also certifies its MIP incumbent.
   bool certify = false;
-  // Branch-and-bound worker threads. 1 (the default) runs the serial
-  // depth-first search, bit-for-bit identical to the single-threaded solver.
-  // >1 explores the tree with a pool of workers over a shared frontier
-  // (global best-bound heap + per-worker LIFO diving stacks with work
-  // stealing); each worker owns a warm-started incremental LP engine, the
-  // incumbent is shared, and pruning reads a lock-free bound snapshot. A
-  // complete parallel search returns the same certified objective as the
-  // serial one, but the tree shape (nodes_explored) depends on incumbent
-  // timing and is NOT reproducible run to run — see `deterministic` and
-  // docs/solver.md. Values above the worker cap (64) are clamped; <= 1 means
-  // serial.
-  int num_threads = 1;
-  // Reproducibility switch for num_threads > 1: when set, the search runs
-  // the serial algorithm regardless of num_threads, so the explored tree is
-  // bit-for-bit the serial tree (the CPLEX "deterministic vs opportunistic"
-  // trade-off, taken to its simple extreme: full reproducibility for zero
-  // parallel speedup). Ignored when num_threads <= 1.
-  bool deterministic = false;
   // Component decomposition (src/solver/decompose.h): split the (presolved)
   // model into the connected components of its variable-row incidence graph
-  // and solve them as independent sub-MIPs, scheduled across num_threads
-  // workers. Placement ILPs with sparse tag graphs routinely separate, and k
+  // and solve them one after another as independent sub-MIPs, largest first.
+  // Placement ILPs with sparse tag graphs routinely separate, and k
   // small branch-and-bound trees are exponentially cheaper than one big one.
   // The stitched solution carries the same optimality contract as the
   // monolithic search (kOptimal only when every component completed within
@@ -152,13 +132,13 @@ struct MipOptions {
   // fallback searches enable it together with root fixing.
   bool node_reduced_cost_fixing = false;
   // Root cutting planes (see CutOptions). Applied identically on the warm
-  // and cold node-LP paths and on serial and parallel searches, so tree
-  // identity (branching_perturbation above) is preserved.
+  // and cold node-LP paths, so tree identity (branching_perturbation above)
+  // is preserved.
   CutOptions cuts;
   // Branch-variable selection. Pseudo-cost branching typically shrinks the
   // tree well below MostFractional on placement models; both rules break
-  // ties by lowest variable index and are deterministic across the warm,
-  // cold and parallel configurations.
+  // ties by lowest variable index and are deterministic across the warm and
+  // cold configurations.
   BranchingRule branching = BranchingRule::kPseudoCost;
   // Fractional candidates strong-branched at the root to initialize the
   // pseudo-cost tables (kPseudoCost only). Each candidate costs two dense
@@ -237,21 +217,6 @@ struct MipStats {
   // the root relaxation bound. Consumed by verify::CertifySolution.
   bool has_best_bound = false;
   double best_bound = 0.0;
-  // --- Parallel search (MipOptions::num_threads > 1) ------------------------
-  // Worker threads the search actually ran with (1 for the serial path).
-  int threads_used = 1;
-  // Frontier nodes obtained by stealing from another worker's dive stack.
-  long long steals = 0;
-  // Per-worker breakdown, aggregated race-free after the workers join.
-  // Empty for serial searches.
-  struct WorkerStats {
-    int worker = 0;
-    long long nodes_explored = 0;
-    long long total_pivots = 0;
-    long long steals = 0;
-    double lp_time_seconds = 0.0;
-  };
-  std::vector<WorkerStats> per_worker;
 };
 
 // Solves `model` to (proven or budget-limited) optimality.

@@ -567,33 +567,6 @@ class FuzzRun {
       os << "presolve on/off disagree: " << objectives[0] << " vs " << objectives[1];
       Fail(seed, "mip", "mip-presolve-differential", os.str());
     }
-
-    // Parallel differential: the 4-worker search must certify and agree
-    // with the serial objective on every model the serial search solved
-    // (exact gaps, so "optimal" is the true optimum at any thread count).
-    if (solved[0]) {
-      mip_options.presolve = true;
-      mip_options.num_threads = 4;
-      solver::MipStats stats;
-      const solver::Solution solution = solver::SolveMip(model, mip_options, &stats);
-      if (solution.status != solver::SolveStatus::kOptimal) {
-        Fail(seed, "mip", "mip-parallel-unsolved",
-             std::string("4-thread search not optimal on a serially-solved model: ") +
-                 solver::SolveStatusName(solution.status));
-      } else {
-        const CertifyReport certified =
-            CertifySolution(model, solution, &stats, certify_options);
-        if (!certified.ok()) {
-          Fail(seed, "mip", "mip-certify-parallel", certified.ToString());
-        }
-        if (std::fabs(solution.objective - objectives[0]) > 1e-5) {
-          std::ostringstream os;
-          os << "serial vs 4-thread disagree: " << objectives[0] << " vs "
-             << solution.objective;
-          Fail(seed, "mip", "mip-parallel-differential", os.str());
-        }
-      }
-    }
   }
 
   // --- Decomposition differential: stitched vs monolithic -------------------

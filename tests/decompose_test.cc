@@ -384,19 +384,5 @@ TEST(ReducedCostFixingTest, FixingPreservesTheExactObjective) {
   }
 }
 
-TEST(ReducedCostFixingTest, ParallelSearchAgreesWithFixingEnabled) {
-  const Model m = testing::PlacementModel(12, 6, 7);
-  const Solution serial = SolveMip(m, ExactOptions());
-  ASSERT_EQ(serial.status, SolveStatus::kOptimal);
-
-  MipOptions options = ExactOptions();
-  options.reduced_cost_fixing = true;
-  options.num_threads = 4;
-  MipStats stats;
-  const Solution parallel = SolveMip(m, options, &stats);
-  ASSERT_EQ(parallel.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(parallel.objective, serial.objective, 1e-6);
-}
-
 }  // namespace
 }  // namespace medea::solver

@@ -9,7 +9,10 @@
 // must race the obs layer without the sync wrappers' own synchronization in the way.
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,21 +33,40 @@ TEST(ObsThreadTest, ConcurrentWritersReadersAndTogglesAreClean) {
   constexpr int kWriters = 4;
   constexpr int kOpsPerWriter = 400;
   std::atomic<bool> stop{false};
+  // Ops each writer actually performed. A writer's first kOpsPerWriter ops
+  // can all land inside one of the toggler's metrics-disabled windows, so it
+  // keeps going until its own counter has recorded at least once (or the
+  // deadline passes, which the value > 0 check below then reports).
+  std::vector<long long> ops_done(kWriters, 0);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  // Each writer bumps the shared counter and its own counter as one pair,
+  // under a shared lock the toggler takes exclusively to flip the flag: both
+  // halves of a pair see the same flag, so the shared counter must equal the
+  // sum of the per-writer ones. Everything else races the toggles freely.
+  std::shared_mutex pair_mu;
 
   std::vector<std::thread> workers;
   // Writers: every helper on a mix of shared and per-thread metric names.
   for (int w = 0; w < kWriters; ++w) {
-    workers.emplace_back([w] {
+    workers.emplace_back([w, deadline, &ops_done, &pair_mu] {
       SetCurrentThreadName("obs-writer-" + std::to_string(w));
       const std::string own = "obs_thread_test.writer_" + std::to_string(w);
-      for (int i = 0; i < kOpsPerWriter; ++i) {
-        Count("obs_thread_test.shared_counter");
-        Count(own);
+      const Counter& own_counter = MetricsRegistry::Default().CounterNamed(own);
+      long long i = 0;
+      for (; i < kOpsPerWriter ||
+             (own_counter.value() == 0 && std::chrono::steady_clock::now() < deadline);
+           ++i) {
+        {
+          const std::shared_lock<std::shared_mutex> pair(pair_mu);
+          Count("obs_thread_test.shared_counter");
+          Count(own);
+        }
         SetGauge("obs_thread_test.shared_gauge", static_cast<double>(i));
         Observe("obs_thread_test.shared_hist_ms", 0.001 * (1 + (w * kOpsPerWriter + i) % 997));
         { ScopedLatencyTimer timer("obs_thread_test.timer_ms"); }
         { ScopedSpan span("obs_thread_test.span", "test"); }
       }
+      ops_done[static_cast<size_t>(w)] = i;
     });
   }
   // Readers: consistent snapshots and exports while writes are in flight.
@@ -73,11 +95,15 @@ TEST(ObsThreadTest, ConcurrentWritersReadersAndTogglesAreClean) {
   });
   // Toggler: instrumentation sites must tolerate the flags flipping at any
   // point (the disabled fast path racing against in-flight recordings).
-  workers.emplace_back([&stop] {
+  workers.emplace_back([&stop, &pair_mu] {
+    const auto set_enabled = [&pair_mu](bool enabled) {
+      const std::unique_lock<std::shared_mutex> flip(pair_mu);
+      EnableMetrics(enabled);
+    };
     while (!stop.load(std::memory_order_acquire)) {
-      EnableMetrics(false);
+      set_enabled(false);
       std::this_thread::sleep_for(std::chrono::microseconds(200));
-      EnableMetrics(true);
+      set_enabled(true);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
@@ -92,22 +118,26 @@ TEST(ObsThreadTest, ConcurrentWritersReadersAndTogglesAreClean) {
 
   EnableMetrics(true);
   // Per-writer counters only race against the toggler, so each is at most
-  // kOpsPerWriter; the shared counter is the sum of whatever landed.
+  // the ops that writer performed; the shared counter is the sum of whatever
+  // landed.
   long long own_total = 0;
+  long long ops_total = 0;
   for (int w = 0; w < kWriters; ++w) {
     const long long value = MetricsRegistry::Default()
                                 .CounterNamed("obs_thread_test.writer_" + std::to_string(w))
                                 .value();
-    EXPECT_GT(value, 0);
-    EXPECT_LE(value, kOpsPerWriter);
+    const long long ops = ops_done[static_cast<size_t>(w)];
+    EXPECT_GT(value, 0) << "writer " << w << " after " << ops << " ops";
+    EXPECT_LE(value, ops);
     own_total += value;
+    ops_total += ops;
   }
   EXPECT_EQ(MetricsRegistry::Default().CounterNamed("obs_thread_test.shared_counter").value(),
             own_total);
   const auto hist =
       MetricsRegistry::Default().HistogramNamed("obs_thread_test.shared_hist_ms").TakeSnapshot();
   EXPECT_GT(hist.count, 0u);
-  EXPECT_LE(hist.count, static_cast<size_t>(kWriters) * kOpsPerWriter);
+  EXPECT_LE(hist.count, static_cast<size_t>(ops_total));
 
   // The trace ring wrapped (far more spans than capacity) without losing
   // structural integrity: full ring, monotone non-negative durations.

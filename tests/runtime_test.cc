@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/runtime/placement_service.h"
 #include "src/runtime/two_scheduler_runtime.h"
 #include "src/schedulers/greedy.h"
 #include "src/sim/runtime_driver.h"
@@ -110,6 +111,76 @@ TEST(TwoSchedulerRuntimeTest, NodeDownTriggersFailoverReplacement) {
     const auto report = verify::InvariantChecker::CheckState(state, &manager);
     EXPECT_TRUE(report.ok()) << report.ToString();
   });
+}
+
+// Two nodes, each fully taken by one container of a two-container app: when
+// a node goes down, its container has nowhere to go.
+constexpr char kFullNodeConstraint[] = "{full, {full, 0, 1}, node}";
+const Resource kFullNode = Resource(16 * 1024, 8);
+
+TEST(TwoSchedulerRuntimeTest, RejectedFailoverKeepsApplicationConstraints) {
+  RuntimeConfig config = SmallConfig();
+  config.num_nodes = 2;
+  config.num_racks = 1;
+  config.num_upgrade_domains = 1;
+  config.num_service_units = 1;
+  config.node_capacity = kFullNode;
+  TwoSchedulerRuntime runtime(config, MakeScheduler());
+  runtime.Start();
+  const ApplicationId app(7);
+  runtime.SubmitLra(runtime.BuildSpec([&](TagPool& tags) {
+    LraSpec spec = MakeGenericLra(app, tags, 2, "full", kFullNode);
+    spec.app_constraints.push_back(kFullNodeConstraint);
+    return spec;
+  }));
+  ASSERT_TRUE(runtime.WaitLraIdle(std::chrono::seconds(10)));
+  ASSERT_EQ(runtime.metrics().lras_placed, 1);
+
+  runtime.NodeDown(NodeId(0));
+  ASSERT_TRUE(runtime.WaitLraIdle(std::chrono::seconds(10)));
+  runtime.Stop();
+
+  const RuntimeMetrics metrics = runtime.metrics();
+  EXPECT_EQ(metrics.lra_containers_lost, 1);
+  EXPECT_EQ(metrics.failover_replacements, 0);
+  EXPECT_EQ(metrics.lras_rejected, 1);
+  runtime.WithStateLocked([&](const ClusterState& state, const ConstraintManager& manager) {
+    // The surviving container is still deployed, and still constrained.
+    EXPECT_EQ(state.ContainersOf(app).size(), 1u);
+    EXPECT_EQ(manager.size(), 1u);
+  });
+}
+
+TEST(PlacementServiceTest, RejectedFailoverKeepsApplicationConstraints) {
+  ServiceConfig config;
+  ClusterState initial = ClusterBuilder()
+                             .NumNodes(2)
+                             .NumRacks(1)
+                             .NumUpgradeDomains(1)
+                             .NumServiceUnits(1)
+                             .NodeCapacity(kFullNode)
+                             .Build();
+  ConstraintManager manager(initial.groups_ptr());
+  const ApplicationId app(7);
+  LraSpec spec = MakeGenericLra(app, manager.tags(), 2, "full", kFullNode);
+  ASSERT_TRUE(
+      manager.AddFromText(kFullNodeConstraint, ConstraintOrigin::kApplication, app).ok());
+  PlacementService service(config, std::move(initial), std::move(manager));
+  const std::unique_ptr<LraScheduler> scheduler = MakeScheduler();
+
+  service.Submit(std::move(spec.request));
+  (void)service.RunSynchronous(*scheduler);
+  ASSERT_EQ(service.metrics().lras_placed, 1);
+
+  service.NodeDown(NodeId(0));
+  (void)service.RunSynchronous(*scheduler);
+
+  const ServiceMetrics metrics = service.metrics();
+  EXPECT_EQ(metrics.lra_containers_lost, 1);
+  EXPECT_EQ(metrics.failover_replacements, 0);
+  EXPECT_EQ(metrics.lras_rejected, 1);
+  EXPECT_EQ(service.AcquireSnapshot()->state.ContainersOf(app).size(), 1u);
+  EXPECT_EQ(service.manager_snapshot()->size(), 1u);
 }
 
 TEST(TwoSchedulerRuntimeTest, OperatorConstraintDeduplicatesAndValidates) {

@@ -178,6 +178,35 @@ TEST(SimulationTest, NodeFailureResubmitsLostLraContainers) {
   }
 }
 
+TEST(SimulationTest, RejectedFailoverKeepsApplicationConstraints) {
+  // Two nodes, each fully taken by one container of a two-container app:
+  // the failed node's container has nowhere to go, so its failover
+  // re-placement runs out of attempts.
+  SimConfig config = SmallSimConfig();
+  config.num_nodes = 2;
+  config.num_racks = 1;
+  config.num_upgrade_domains = 1;
+  config.num_service_units = 1;
+  const Resource full_node = config.node_capacity;
+  Simulation sim(config, SmallIlp());
+  const ApplicationId app(1);
+  LraSpec spec = MakeGenericLra(app, sim.manager().tags(), 2, "full", full_node);
+  spec.app_constraints.push_back("{full, {full, 0, 1}, node}");
+  sim.SubmitLraAt(0, std::move(spec));
+  sim.RunUntil(10000);
+  ASSERT_EQ(sim.metrics().lras_placed, 1);
+  ASSERT_EQ(sim.manager().size(), 1u);
+
+  sim.NodeDownAt(15000, NodeId(0));
+  sim.RunUntilQuiescent();
+  EXPECT_EQ(sim.metrics().lra_containers_lost, 1);
+  EXPECT_EQ(sim.metrics().failover_replacements, 0);
+  EXPECT_EQ(sim.metrics().lras_rejected, 1);
+  // The surviving container is still deployed, and still constrained.
+  EXPECT_EQ(sim.state().ContainersOf(app).size(), 1u);
+  EXPECT_EQ(sim.manager().size(), 1u);
+}
+
 TEST(SimulationTest, NodeFailureRequeuesTasks) {
   Simulation sim(SmallSimConfig(), SmallIlp());
   std::vector<TaskRequest> tasks(3, TaskRequest{Resource(2048, 1), 600000});

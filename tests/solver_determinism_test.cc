@@ -54,40 +54,6 @@ TEST(SolverDeterminismTest, WarmAndColdExploreIdenticalTrees) {
   }
 }
 
-TEST(SolverDeterminismTest, DeterministicModeReproducesSerialTreeAtAnyThreadCount) {
-  // MipOptions::deterministic trades all parallel speedup for bit-for-bit
-  // reproducibility: with it set, num_threads > 1 must explore EXACTLY the
-  // serial tree (same node count, same objective), not merely an equivalent
-  // one. This is the contract docs/solver.md sells, so lock it down on a few
-  // degenerate instances.
-  for (const uint64_t seed : testing::MicroBenchSeeds()) {
-    const Model m = testing::PlacementModel(12, 6, seed);
-
-    MipStats serial_stats;
-    const Solution serial = SolveMip(m, ExactOptions(true), &serial_stats);
-    ASSERT_EQ(serial.status, SolveStatus::kOptimal) << seed;
-
-    for (const int threads : {2, 4, 8}) {
-      MipOptions options = ExactOptions(true);
-      options.num_threads = threads;
-      options.deterministic = true;
-      MipStats stats;
-      const Solution repro = SolveMip(m, options, &stats);
-      ASSERT_EQ(repro.status, SolveStatus::kOptimal) << seed << " threads " << threads;
-      EXPECT_NEAR(repro.objective, serial.objective, 1e-9)
-          << seed << " threads " << threads;
-      EXPECT_EQ(stats.nodes_explored, serial_stats.nodes_explored)
-          << seed << " threads " << threads;
-      EXPECT_EQ(stats.total_pivots, serial_stats.total_pivots)
-          << seed << " threads " << threads;
-      // Deterministic mode runs the serial engine: one "worker", no steals.
-      EXPECT_EQ(stats.threads_used, 1) << seed << " threads " << threads;
-      EXPECT_EQ(stats.steals, 0) << seed << " threads " << threads;
-      EXPECT_TRUE(stats.per_worker.empty()) << seed << " threads " << threads;
-    }
-  }
-}
-
 TEST(SolverDeterminismTest, PerturbationOffStillSolvesCorrectly) {
   // Sanity: disabling the perturbation must not change reported optima (only
   // tree shapes), so the slack-adjusted pruning bound is not cutting off the

@@ -10,6 +10,7 @@
 #include "src/solver/mip.h"
 #include "src/solver/model.h"
 #include "src/solver/simplex.h"
+#include "src/solver/testing/placement_model.h"
 
 namespace medea::solver {
 namespace {
@@ -220,6 +221,25 @@ TEST(MipTest, TimeLimitReturnsIncumbent) {
   const Solution s = SolveMip(m, opts);
   EXPECT_TRUE(s.HasSolution());
   EXPECT_TRUE(m.IsFeasible(s.values, 1e-6));
+}
+
+TEST(MipTest, NodeLimitStopsSearchWithoutClaimingOptimality) {
+  const Model m = testing::PlacementModel(16, 8, 11);
+  MipOptions options;
+  options.time_limit_seconds = 0.0;
+  options.relative_gap = 0.0;
+  options.absolute_gap = 1e-9;
+  // Root cuts shrink this search to a couple of nodes; disable them so the
+  // tree is deep enough to run into the 8-node budget.
+  options.cuts.enable = false;
+  options.max_nodes = 8;
+  MipStats stats;
+  const Solution solution = SolveMip(m, options, &stats);
+  EXPECT_TRUE(stats.hit_node_limit);
+  EXPECT_FALSE(stats.hit_time_limit);
+  EXPECT_EQ(stats.nodes_explored, 8);
+  // An interrupted search never claims optimality.
+  EXPECT_NE(solution.status, SolveStatus::kOptimal);
 }
 
 TEST(ModelTest, RowTermMerging) {

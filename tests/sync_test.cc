@@ -16,7 +16,6 @@
 
 #include "src/common/sync/mutex.h"
 #include "src/common/sync/thread.h"
-#include "src/common/sync/work_queue.h"
 
 namespace medea::sync {
 namespace {
@@ -108,30 +107,6 @@ TEST(ThreadTest, MoveAssignJoinsPreviousThread) {
   EXPECT_GE(done.load(), 1);
   thread.Join();
   EXPECT_EQ(done.load(), 2);
-}
-
-TEST(WorkQueueTest, OwnerLifoThiefFifoSemantics) {
-  WorkStealingDeque<int> deque;
-  deque.PushTop(1);
-  deque.PushTop(2);
-  deque.PushTop(3);
-  EXPECT_EQ(deque.Size(), 3u);
-
-  int item = 0;
-  // Owner pops the newest (LIFO: diving).
-  ASSERT_TRUE(deque.PopTop(&item));
-  EXPECT_EQ(item, 3);
-  // Thief steals the oldest (FIFO: the shallowest, biggest subtree).
-  ASSERT_TRUE(deque.TrySteal(&item));
-  EXPECT_EQ(item, 1);
-  // Owner can also offload from the bottom.
-  ASSERT_TRUE(deque.PopBottom(&item));
-  EXPECT_EQ(item, 2);
-
-  EXPECT_FALSE(deque.PopTop(&item));
-  EXPECT_FALSE(deque.PopBottom(&item));
-  EXPECT_FALSE(deque.TrySteal(&item));
-  EXPECT_EQ(deque.Size(), 0u);
 }
 
 }  // namespace
