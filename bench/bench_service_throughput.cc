@@ -179,8 +179,11 @@ int Run(size_t containers, size_t nodes, const std::string& out_path) {
   JsonRecords out;
   out.Begin()
       .Field("kind", "env")
+      .Field("build_type", MEDEA_BENCH_BUILD_TYPE)
+      .Field("compiler", MEDEA_BENCH_COMPILER)
       .Field("hardware_threads",
              static_cast<long long>(std::thread::hardware_concurrency()))
+      .Field("git_sha", MEDEA_BENCH_GIT_SHA)
       .Field("nodes", static_cast<long long>(nodes))
       .End();
   Record(out, greedy);

@@ -26,16 +26,6 @@
 #include "src/solver/mip.h"
 #include "src/solver/testing/placement_model.h"
 
-#ifndef MEDEA_BENCH_BUILD_TYPE
-#define MEDEA_BENCH_BUILD_TYPE "unknown"
-#endif
-#ifndef MEDEA_BENCH_COMPILER
-#define MEDEA_BENCH_COMPILER "unknown"
-#endif
-#ifndef MEDEA_BENCH_GIT_SHA
-#define MEDEA_BENCH_GIT_SHA "unknown"
-#endif
-
 namespace medea::solver {
 namespace {
 

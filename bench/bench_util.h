@@ -19,6 +19,18 @@
 #include "src/schedulers/placement.h"
 #include "src/workload/lra_templates.h"
 
+// The build a BENCH_*.json "env" record names; bench/CMakeLists.txt defines
+// these for the benches that write one.
+#ifndef MEDEA_BENCH_BUILD_TYPE
+#define MEDEA_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef MEDEA_BENCH_COMPILER
+#define MEDEA_BENCH_COMPILER "unknown"
+#endif
+#ifndef MEDEA_BENCH_GIT_SHA
+#define MEDEA_BENCH_GIT_SHA "unknown"
+#endif
+
 namespace medea::bench {
 
 // Deploys `specs` through `scheduler` in batches of `batch_size`,

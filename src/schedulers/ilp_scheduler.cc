@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -631,14 +632,16 @@ PlacementPlan MedeaIlpScheduler::Place(const PlacementProblem& problem) {
   // symmetric, so branch-and-bound needs a strong incumbent up front to
   // prune. The greedy plan maps 1:1 onto X/S variables (same candidate
   // selector, same flat container order); the solver repairs the continuous
-  // violation/fragmentation variables with one LP.
+  // violation/fragmentation variables with one LP. The greedy plan is also
+  // the fallback if the solve returns no solution.
+  std::optional<PlacementPlan> greedy_plan;
   if (config_.ilp_warm_start) {
     const obs::ScopedSpan warm_span("ilp.warm_start", "sched");
     GreedyScheduler greedy(GreedyOrdering::kSerial, config_, /*impact_aware=*/true);
-    const PlacementPlan greedy_plan = greedy.Place(problem);
+    greedy_plan = greedy.Place(problem);
     std::vector<double> warm(static_cast<size_t>(builder.model().num_variables()), 0.0);
     bool mapped = true;
-    for (const Assignment& a : greedy_plan.assignments) {
+    for (const Assignment& a : greedy_plan->assignments) {
       const FlatContainer* match = nullptr;
       for (const FlatContainer& fc : builder.containers()) {
         if (fc.lra_index == a.lra_index && fc.container_index == a.container_index) {
@@ -664,8 +667,8 @@ PlacementPlan MedeaIlpScheduler::Place(const PlacementProblem& problem) {
       }
     }
     if (mapped) {
-      for (size_t i = 0; i < greedy_plan.lra_placed.size(); ++i) {
-        if (greedy_plan.lra_placed[i]) {
+      for (size_t i = 0; i < greedy_plan->lra_placed.size(); ++i) {
+        if (greedy_plan->lra_placed[i]) {
           warm[static_cast<size_t>(builder.lra_placed_vars()[i])] = 1.0;
         }
       }
@@ -684,13 +687,22 @@ PlacementPlan MedeaIlpScheduler::Place(const PlacementProblem& problem) {
   last_stats_.objective = solution.objective;
 
   if (!solution.HasSolution()) {
-    MEDEA_LOG(kWarning) << "ILP solve failed: " << solver::SolveStatusName(solution.status);
+    MEDEA_LOG(kWarning) << "ILP solve failed: " << solver::SolveStatusName(solution.status)
+                        << (greedy_plan ? "; returning the greedy warm-start plan" : "");
+    if (greedy_plan) {
+      plan.lra_placed = std::move(greedy_plan->lra_placed);
+      plan.assignments = std::move(greedy_plan->assignments);
+      last_stats_.greedy_fallback = true;
+    }
     plan.latency_ms =
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
             .count();
     if (obs::MetricsEnabled()) {
       obs::Observe("sched.place_ms." + name(), plan.latency_ms);
       obs::Count("sched.ilp_solve_failures");
+      if (last_stats_.greedy_fallback) {
+        obs::Count("sched.ilp_fallbacks");
+      }
     }
     AuditPlan(problem, plan, name());
     return plan;

@@ -27,6 +27,11 @@
 //    "pick one clause" row (§5.2 "Compound constraints").
 //  * Constraints of already-deployed LRAs whose targets match new container
 //    tags contribute rows with the subject position fixed (§5.1 item ii).
+//
+// Degradation: the solve is warm-started from the Serial greedy plan. When
+// it returns no solution at all (the time budget ran out before an
+// incumbent was installed), Place() returns that greedy plan rather than an
+// empty one, so a budget overrun costs plan quality, not the whole batch.
 
 #ifndef SRC_SCHEDULERS_ILP_SCHEDULER_H_
 #define SRC_SCHEDULERS_ILP_SCHEDULER_H_
@@ -57,6 +62,9 @@ class MedeaIlpScheduler : public LraScheduler {
     solver::MipStats mip;
     solver::SolveStatus status = solver::SolveStatus::kInfeasible;
     double objective = 0.0;
+    // The solve returned no solution and Place() returned the Serial greedy
+    // plan it was warm-started from instead.
+    bool greedy_fallback = false;
   };
   const LastSolveStats& last_stats() const { return last_stats_; }
 

@@ -7,6 +7,7 @@
 #include "src/common/rng.h"
 #include "src/common/strings.h"
 #include "src/core/violation.h"
+#include "src/schedulers/greedy.h"
 #include "src/schedulers/ilp_scheduler.h"
 #include "src/solver/lp_reader.h"
 #include "src/solver/mip.h"
@@ -179,6 +180,54 @@ TEST_F(IlpTest, TimeBudgetRespected) {
   // solve must not run unbounded.
   EXPECT_LT(plan.latency_ms, 1500.0);
   EXPECT_EQ(plan.NumPlaced(), 1);  // anytime behaviour: incumbent exists
+}
+
+// A budget that runs out before the solve installs any incumbent: the solve
+// returns no solution.
+constexpr double kExpiredBudgetSeconds = 1e-9;
+
+TEST_F(IlpTest, BudgetOverrunFallsBackToTheGreedyWarmStartPlan) {
+  SchedulerConfig config = Config();
+  config.ilp_time_limit_seconds = kExpiredBudgetSeconds;
+  ASSERT_TRUE(manager_
+                  .AddFromText("{w, {w, 0, 0}, node}", ConstraintOrigin::kApplication,
+                               ApplicationId(1))
+                  .ok());
+  PlacementProblem problem;
+  problem.lras = {Lra(ApplicationId(1), 6, "w"), Lra(ApplicationId(2), 3, "x")};
+  problem.state = &state_;
+  problem.manager = &manager_;
+  MedeaIlpScheduler ilp(config);
+  const PlacementPlan plan = ilp.Place(problem);
+  ASSERT_EQ(ilp.last_stats().status, solver::SolveStatus::kTimeLimit);
+  EXPECT_TRUE(ilp.last_stats().greedy_fallback);
+
+  GreedyScheduler greedy(GreedyOrdering::kSerial, config, /*impact_aware=*/true);
+  const PlacementPlan expected = greedy.Place(problem);
+  EXPECT_EQ(plan.NumPlaced(), 2);
+  EXPECT_EQ(plan.lra_placed, expected.lra_placed);
+  ASSERT_EQ(plan.assignments.size(), expected.assignments.size());
+  for (size_t i = 0; i < plan.assignments.size(); ++i) {
+    EXPECT_EQ(plan.assignments[i].lra_index, expected.assignments[i].lra_index);
+    EXPECT_EQ(plan.assignments[i].container_index, expected.assignments[i].container_index);
+    EXPECT_EQ(plan.assignments[i].node, expected.assignments[i].node);
+  }
+}
+
+TEST_F(IlpTest, BudgetOverrunWithoutWarmStartReturnsNoPlacement) {
+  SchedulerConfig config = Config();
+  config.ilp_time_limit_seconds = kExpiredBudgetSeconds;
+  config.ilp_warm_start = false;
+  MedeaIlpScheduler ilp(config);
+  PlacementProblem problem;
+  problem.lras = {Lra(ApplicationId(1), 6, "w")};
+  problem.state = &state_;
+  problem.manager = &manager_;
+  const PlacementPlan plan = ilp.Place(problem);
+  ASSERT_EQ(ilp.last_stats().status, solver::SolveStatus::kTimeLimit);
+  EXPECT_FALSE(ilp.last_stats().greedy_fallback);
+  EXPECT_EQ(plan.NumPlaced(), 0);
+  EXPECT_TRUE(plan.assignments.empty());
 }
 
 TEST_F(IlpTest, EmptyProblemYieldsEmptyPlan) {
