@@ -7,6 +7,7 @@
 // functional behavior with deterministic workloads.
 
 #include <chrono>
+#include <future>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -110,6 +111,69 @@ TEST(TwoSchedulerRuntimeTest, NodeDownTriggersFailoverReplacement) {
     }
     const auto report = verify::InvariantChecker::CheckState(state, &manager);
     EXPECT_TRUE(report.ok()) << report.ToString();
+  });
+}
+
+// Plans every container onto one node: node 0 on the first call, which
+// blocks until the test releases it, and node 1 on every later call.
+class GatedPinnedScheduler : public LraScheduler {
+ public:
+  GatedPinnedScheduler(std::promise<void>* entered, std::shared_future<void> release)
+      : entered_(entered), release_(std::move(release)) {}
+
+  PlacementPlan Place(const PlacementProblem& problem) override {
+    const bool first = calls_++ == 0;  // only the LRA thread calls Place
+    if (first) {
+      entered_->set_value();
+      release_.wait();
+    }
+    PlacementPlan plan;
+    plan.lra_placed.assign(problem.lras.size(), true);
+    for (size_t i = 0; i < problem.lras.size(); ++i) {
+      for (size_t j = 0; j < problem.lras[i].containers.size(); ++j) {
+        plan.assignments.push_back(
+            {static_cast<int>(i), static_cast<int>(j), NodeId(first ? 0u : 1u)});
+      }
+    }
+    return plan;
+  }
+  std::string name() const override { return "gated-pinned"; }
+
+ private:
+  std::promise<void>* entered_;
+  std::shared_future<void> release_;
+  int calls_ = 0;
+};
+
+TEST(TwoSchedulerRuntimeTest, StalePlanIsRevalidatedAgainstTheLiveState) {
+  std::promise<void> entered;
+  std::promise<void> release;
+  TwoSchedulerRuntime runtime(SmallConfig(), std::make_unique<GatedPinnedScheduler>(
+                                                 &entered, release.get_future().share()));
+  runtime.Start();
+  const ApplicationId app(7);
+  runtime.SubmitLra(runtime.BuildSpec(
+      [&](TagPool& tags) { return MakeGenericLra(app, tags, 2, "stale-svc"); }));
+  // The first plan targets node 0, which goes down while the plan is computed.
+  entered.get_future().wait();
+  runtime.NodeDown(NodeId(0));
+  release.set_value();
+  ASSERT_TRUE(runtime.WaitLraIdle(std::chrono::seconds(10)));
+  runtime.Stop();
+
+  const RuntimeMetrics metrics = runtime.metrics();
+  EXPECT_GE(metrics.stale_plans, 1);
+  // Revalidation unplaced the dead plan before any allocation; the
+  // resubmission landed on node 1.
+  EXPECT_EQ(metrics.stale_lras_revalidated, 1);
+  EXPECT_EQ(metrics.commit_conflicts, 1);
+  EXPECT_EQ(metrics.lra_resubmissions, 1);
+  EXPECT_EQ(metrics.lras_placed, 1);
+  runtime.WithStateLocked([&](const ClusterState& state, const ConstraintManager&) {
+    ASSERT_EQ(state.ContainersOf(app).size(), 2u);
+    for (ContainerId c : state.ContainersOf(app)) {
+      EXPECT_EQ(state.FindContainer(c)->node, NodeId(1));
+    }
   });
 }
 
