@@ -120,6 +120,15 @@ CandidatePool CandidateSelector::BuildPool(const PlacementProblem& problem,
 
   pool.num_anchors = pool.nodes.size();
 
+  // Each node's load, computed once for both sorting tiers.
+  std::vector<double> load(state.num_nodes());
+  size_t unavailable = 0;
+  for (size_t n = 0; n < load.size(); ++n) {
+    const Node& node = state.node(NodeId(static_cast<uint32_t>(n)));
+    load[n] = NodeLoad(node);
+    unavailable += node.available() ? 0 : 1;
+  }
+
   // Tier 2: spread representatives per referenced group kind.
   std::unordered_set<std::string> kinds;
   for (const auto& [id, constraint] : all_relevant) {
@@ -136,9 +145,8 @@ CandidatePool CandidateSelector::BuildPool(const PlacementProblem& problem,
       // Up to a few least-loaded nodes per set, scaled so large clusters
       // with many sets do not blow past the pool budget.
       std::vector<NodeId> sorted(node_set);
-      std::stable_sort(sorted.begin(), sorted.end(), [&](NodeId a, NodeId b) {
-        return NodeLoad(state.node(a)) < NodeLoad(state.node(b));
-      });
+      std::stable_sort(sorted.begin(), sorted.end(),
+                       [&](NodeId a, NodeId b) { return load[a.value] < load[b.value]; });
       const size_t per_set =
           std::max<size_t>(1, target / (2 * std::max<size_t>(1, state.groups().NumSets(kind))));
       for (size_t i = 0; i < sorted.size() && i < per_set + 1; ++i) {
@@ -147,20 +155,26 @@ CandidatePool CandidateSelector::BuildPool(const PlacementProblem& problem,
     }
   }
 
-  // Tier 3: globally least-loaded fill.
-  std::vector<NodeId> all_nodes;
-  all_nodes.reserve(state.num_nodes());
-  for (size_t n = 0; n < state.num_nodes(); ++n) {
-    all_nodes.push_back(NodeId(static_cast<uint32_t>(n)));
-  }
-  std::stable_sort(all_nodes.begin(), all_nodes.end(), [&](NodeId a, NodeId b) {
-    return NodeLoad(state.node(a)) < NodeLoad(state.node(b));
-  });
-  for (NodeId n : all_nodes) {
-    if (pool.nodes.size() >= target) {
-      break;
+  // Tier 3: globally least-loaded fill. Each node the fill reads is added
+  // (at most target - pool size of them), unavailable, or already in the pool
+  // (at most pool size), so it never reads past the first target +
+  // unavailable nodes of the load order. Only that prefix is sorted, by
+  // (load, index): the order a stable sort by load gives.
+  if (pool.nodes.size() < target) {
+    std::vector<NodeId> all_nodes;
+    all_nodes.reserve(state.num_nodes());
+    for (size_t n = 0; n < state.num_nodes(); ++n) {
+      all_nodes.push_back(NodeId(static_cast<uint32_t>(n)));
     }
-    add(n);
+    const size_t reach = std::min(all_nodes.size(), target + unavailable);
+    std::partial_sort(all_nodes.begin(), all_nodes.begin() + static_cast<long>(reach),
+                      all_nodes.end(), [&](NodeId a, NodeId b) {
+                        return load[a.value] < load[b.value] ||
+                               (load[a.value] == load[b.value] && a.value < b.value);
+                      });
+    for (size_t i = 0; i < reach && pool.nodes.size() < target; ++i) {
+      add(all_nodes[i]);
+    }
   }
   return pool;
 }

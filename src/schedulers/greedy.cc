@@ -77,7 +77,12 @@ PlacementPlan GreedyScheduler::Place(const PlacementProblem& problem) {
         .containers[static_cast<size_t>(p.container_index)];
   };
 
+  // With no relevant constraint every candidate scores exactly 0 at either
+  // depth, so the trial allocation is skipped and the load tie-break decides.
   const auto score = [&](ApplicationId app, const ContainerRequest& req, NodeId n) {
+    if (relevant_all.empty()) {
+      return 0.0;
+    }
     return impact_aware_ ? PlacementScoreDelta(scratch, index, app, req, n)
                          : SubjectOnlyScore(scratch, relevant_all, app, req, n);
   };

@@ -138,6 +138,9 @@ SubjectIndex::SubjectIndex(
     const ClusterState& state,
     std::vector<std::pair<ConstraintId, const PlacementConstraint*>> relevant)
     : relevant_(std::move(relevant)), subjects_(relevant_.size()) {
+  if (relevant_.empty()) {
+    return;  // nothing can have a subject: skip the full-cluster scan
+  }
   state.ForEachContainer([&](const ContainerInfo& info) {
     if (!info.long_running) {
       return;

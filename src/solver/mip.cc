@@ -522,6 +522,14 @@ Solution SolveMip(const Model& model, const MipOptions& options, MipStats* stats
                effective_stats->presolve.probe_implications);
     obs::Count("solver.presolve.clique_rows", effective_stats->presolve.clique_rows_added);
     obs::Count("solver.reduced_cost_fixed", effective_stats->reduced_cost_fixed);
+    obs::Count("solver.time_limit_hits", effective_stats->hit_time_limit ? 1 : 0);
+    if (solution.HasSolution() && effective_stats->has_best_bound) {
+      // Relative distance between the incumbent and the proven bound (a
+      // ratio, recorded in the ms histogram's buckets).
+      obs::Observe("solver.final_gap",
+                   std::abs(solution.objective - effective_stats->best_bound) /
+                       std::max(1.0, std::abs(solution.objective)));
+    }
     if (effective_stats->components > 0) {
       obs::SetGauge("solver.components", effective_stats->components);
       obs::Count("solver.relax_round.accepted", effective_stats->relax_round_accepted);

@@ -224,11 +224,6 @@ Resource TaskScheduler::ReservedOn(NodeId node) const {
   return total;
 }
 
-bool TaskScheduler::CommitLraPlan(const PlacementProblem& problem, const PlacementPlan& plan,
-                                  std::vector<bool>* committed) {
-  return CommitPlan(problem, plan, *state_, committed);
-}
-
 size_t TaskScheduler::pending_tasks() const {
   size_t pending = 0;
   for (const Queue& queue : queues_) {

@@ -5,11 +5,10 @@
 // fraction of cluster resources, FIFO within a queue, heartbeat-driven
 // allocation onto the least-loaded feasible node. Short-running containers
 // are allocated here with low latency; LRA placement *plans* produced by the
-// LRA scheduler are also committed here, so a single component performs all
-// allocations and placement conflicts between the two schedulers cannot
-// occur (§3, §5.4). A plan that no longer fits (task containers took the
-// resources in the meantime) fails atomically per LRA and the caller
-// resubmits the LRA.
+// LRA scheduler are committed (CommitPlan) onto the same ClusterState, so
+// placement conflicts between the two schedulers cannot occur (§3, §5.4). A
+// plan that no longer fits (task containers took the resources in the
+// meantime) fails atomically per LRA and the caller resubmits the LRA.
 
 #ifndef SRC_TASKSCHED_TASK_SCHEDULER_H_
 #define SRC_TASKSCHED_TASK_SCHEDULER_H_
@@ -22,7 +21,6 @@
 #include "src/cluster/cluster_state.h"
 #include "src/common/stats.h"
 #include "src/core/constraint_manager.h"
-#include "src/schedulers/placement.h"
 
 namespace medea {
 
@@ -103,12 +101,6 @@ class TaskScheduler {
   // Total reserved on a node across applications.
   Resource ReservedOn(NodeId node) const;
   size_t num_reservations() const { return reservations_.size(); }
-
-  // Commits an LRA placement plan against the live state. Per-LRA atomic:
-  // `committed[i]` reports which LRAs landed; failed ones must be
-  // resubmitted by the caller (§5.4).
-  bool CommitLraPlan(const PlacementProblem& problem, const PlacementPlan& plan,
-                     std::vector<bool>* committed);
 
   size_t pending_tasks() const;
   size_t running_tasks() const { return running_.size(); }

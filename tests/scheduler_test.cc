@@ -473,6 +473,31 @@ TEST_F(SchedulerTest, CommitPlanRollsBackOnConflict) {
   EXPECT_EQ(state_.num_containers(), 0u);
 }
 
+TEST_F(SchedulerTest, CommitPlanAllocatesLongRunning) {
+  auto problem = Problem({MakeLra(ApplicationId(7), 1, {"w"})});
+  PlacementPlan plan;
+  plan.lra_placed = {true};
+  plan.assignments = {{0, 0, NodeId(2)}};
+  std::vector<bool> committed;
+  EXPECT_TRUE(CommitPlan(problem, plan, state_, &committed));
+  EXPECT_TRUE(committed[0]);
+  EXPECT_EQ(state_.num_long_running_containers(), 1u);
+}
+
+TEST_F(SchedulerTest, CommitPlanRejectsNodeFilledByTasks) {
+  // Tasks took node 2 after the plan was made: the stale plan no longer fits.
+  ASSERT_TRUE(
+      state_.Allocate(ApplicationId(9), NodeId(2), Resource(16 * 1024, 8), {}, false).ok());
+  auto problem = Problem({MakeLra(ApplicationId(7), 1, {"w"})});
+  PlacementPlan plan;
+  plan.lra_placed = {true};
+  plan.assignments = {{0, 0, NodeId(2)}};
+  std::vector<bool> committed;
+  EXPECT_FALSE(CommitPlan(problem, plan, state_, &committed));
+  EXPECT_FALSE(committed[0]);
+  EXPECT_EQ(state_.num_long_running_containers(), 0u);
+}
+
 TEST_F(SchedulerTest, YarnIsDeterministicPerSeed) {
   SchedulerConfig config = SmallConfig();
   config.seed = 7;

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "src/common/rng.h"
+#include "src/obs/metrics.h"
 #include "src/solver/mip.h"
 #include "src/solver/model.h"
 #include "src/solver/simplex.h"
@@ -240,6 +241,39 @@ TEST(MipTest, NodeLimitStopsSearchWithoutClaimingOptimality) {
   EXPECT_EQ(stats.nodes_explored, 8);
   // An interrupted search never claims optimality.
   EXPECT_NE(solution.status, SolveStatus::kOptimal);
+}
+
+TEST(MipTest, TelemetryReportsTimeLimitHitsAndFinalGap) {
+  obs::EnableMetrics(true);
+  obs::MetricsRegistry::Default().Reset();
+  const auto& hits = obs::MetricsRegistry::Default().CounterNamed("solver.time_limit_hits");
+  auto& gaps = obs::MetricsRegistry::Default().HistogramNamed("solver.final_gap");
+  const Model m = testing::PlacementModel(6, 10, 7);
+
+  // An expired budget: one hit, and a gap sample only if the search still
+  // ended with both an incumbent and a bound.
+  MipOptions limited;
+  limited.time_limit_seconds = 1e-6;
+  limited.presolve = false;
+  MipStats limited_stats;
+  const Solution cut_short = SolveMip(m, limited, &limited_stats);
+  ASSERT_TRUE(limited_stats.hit_time_limit);
+  EXPECT_EQ(hits.value(), 1);
+  const auto after_limited = gaps.TakeSnapshot();
+  EXPECT_EQ(after_limited.count,
+            cut_short.HasSolution() && limited_stats.has_best_bound ? 1u : 0u);
+
+  // A complete solve adds no hit, and its gap is within the search's
+  // relative-gap tolerance.
+  MipOptions unlimited;
+  unlimited.time_limit_seconds = 0.0;
+  const Solution solved = SolveMip(m, unlimited);
+  ASSERT_EQ(solved.status, SolveStatus::kOptimal);
+  EXPECT_EQ(hits.value(), 1);
+  const auto after_complete = gaps.TakeSnapshot();
+  ASSERT_EQ(after_complete.count, after_limited.count + 1);
+  EXPECT_LE(after_complete.sum_ms - after_limited.sum_ms, unlimited.relative_gap + 1e-9);
+  obs::EnableMetrics(false);
 }
 
 TEST(ModelTest, RowTermMerging) {

@@ -177,44 +177,5 @@ TEST(TaskSchedulerTest, TaggedTaskWithoutManagerFallsBack) {
   EXPECT_EQ(info->tags.size(), 1u);
 }
 
-TEST(TaskSchedulerTest, CommitLraPlanAllocatesLongRunning) {
-  ClusterState state = SmallCluster();
-  TaskScheduler sched(&state);
-  LraRequest lra;
-  lra.app = ApplicationId(7);
-  lra.containers.push_back(ContainerRequest{Resource(1024, 1), {TagId(0)}});
-  PlacementProblem problem;
-  problem.lras = {lra};
-  problem.state = &state;
-  PlacementPlan plan;
-  plan.lra_placed = {true};
-  plan.assignments = {{0, 0, NodeId(2)}};
-  std::vector<bool> committed;
-  EXPECT_TRUE(sched.CommitLraPlan(problem, plan, &committed));
-  EXPECT_TRUE(committed[0]);
-  EXPECT_EQ(state.num_long_running_containers(), 1u);
-}
-
-TEST(TaskSchedulerTest, CommitConflictReportsFailure) {
-  ClusterState state = SmallCluster();
-  TaskScheduler sched(&state);
-  // Fill node 2 with tasks so the stale plan no longer fits.
-  sched.SubmitJob(ApplicationId(1), "default", Tasks(4, Resource(8 * 1024, 1)), 0);
-  sched.Tick(0);
-  LraRequest lra;
-  lra.app = ApplicationId(7);
-  lra.containers.push_back(ContainerRequest{Resource(1024, 1), {}});
-  PlacementProblem problem;
-  problem.lras = {lra};
-  problem.state = &state;
-  PlacementPlan plan;
-  plan.lra_placed = {true};
-  plan.assignments = {{0, 0, NodeId(2)}};
-  std::vector<bool> committed;
-  EXPECT_FALSE(sched.CommitLraPlan(problem, plan, &committed));
-  EXPECT_FALSE(committed[0]);
-  EXPECT_EQ(state.num_long_running_containers(), 0u);
-}
-
 }  // namespace
 }  // namespace medea
