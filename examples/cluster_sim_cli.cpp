@@ -10,19 +10,12 @@
 //                   [--conflict resubmit|kill|reserve] [--seed S]
 //                   [--runtime] [--runtime-wall-ms MS]
 //                   [--solver-decompose]
-//                   [--no-solver-cuts] [--no-solver-pseudo-cost]
 //                   [--metrics-out FILE] [--trace-out FILE]
 //
 // --solver-decompose splits each cycle ILP into the connected components of
 // its variable-row incidence graph and solves them as independent sub-MIPs,
 // largest first, with a relax-and-round fast lane for large components (see
 // docs/solver.md). Only the medea-ilp scheduler uses it.
-//
-// --no-solver-cuts disables the root cover/clique cutting planes the ILP
-// scheduler generates from the placement capacity rows by default
-// (SchedulerConfig::solver_cuts); --no-solver-pseudo-cost falls back from
-// pseudo-cost to most-fractional branching (see docs/solver.md). Both exist
-// for ablations; the defaults are on.
 //
 // With --runtime the scenario is replayed through the real concurrent
 // TwoSchedulerRuntime (src/runtime/) — actual scheduler + heartbeat
@@ -83,10 +76,6 @@ struct Options {
   SimTimeMs runtime_wall_ms = 3000;
   // Component-decomposed cycle ILP (SchedulerConfig::solver_decompose).
   bool solver_decompose = false;
-  // Root cover/clique cuts for the cycle ILP (SchedulerConfig::solver_cuts).
-  bool solver_cuts = true;
-  // Pseudo-cost branching (SchedulerConfig::solver_pseudo_cost).
-  bool solver_pseudo_cost = true;
   // Observability sinks: enabling either turns the src/obs layer on.
   std::string metrics_out;
   std::string trace_out;
@@ -97,8 +86,6 @@ std::unique_ptr<LraScheduler> MakeLraScheduler(const Options& options) {
   config.node_pool_size = static_cast<int>(std::min<size_t>(options.nodes, 96));
   config.ilp_time_limit_seconds = 1.0;
   config.solver_decompose = options.solver_decompose;
-  config.solver_cuts = options.solver_cuts;
-  config.solver_pseudo_cost = options.solver_pseudo_cost;
   config.seed = options.seed;
   if (options.scheduler == "medea-ilp") {
     return std::make_unique<MedeaIlpScheduler>(config);
@@ -165,14 +152,6 @@ bool ParseArgs(int argc, char** argv, Options& options) {
       options.runtime_wall_ms = std::atol(next());
     } else if (flag == "--solver-decompose") {
       options.solver_decompose = true;
-    } else if (flag == "--solver-cuts") {
-      options.solver_cuts = true;
-    } else if (flag == "--no-solver-cuts") {
-      options.solver_cuts = false;
-    } else if (flag == "--solver-pseudo-cost") {
-      options.solver_pseudo_cost = true;
-    } else if (flag == "--no-solver-pseudo-cost") {
-      options.solver_pseudo_cost = false;
     } else if (flag == "--metrics-out") {
       options.metrics_out = next();
     } else if (flag == "--trace-out") {
@@ -346,7 +325,6 @@ int main(int argc, char** argv) {
                 "          [--migration MS] [--conflict resubmit|kill|reserve] [--seed S]\n"
                 "          [--runtime] [--runtime-wall-ms MS]\n"
                 "          [--solver-decompose]\n"
-                "          [--no-solver-cuts] [--no-solver-pseudo-cost]\n"
                 "          [--metrics-out FILE] [--trace-out FILE]\n"
                 "       %s --scenario FILE\n",
                 argv[0], argv[0]);

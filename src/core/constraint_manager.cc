@@ -92,6 +92,18 @@ Result<ConstraintId> ConstraintManager::AddFromText(std::string_view text, Const
   return Add(std::move(*parsed));
 }
 
+Status ConstraintManager::AddOperatorConstraint(std::string_view text) {
+  if (operator_texts_.count(text) > 0) {
+    return Status::Ok();
+  }
+  auto result = AddFromText(text, ConstraintOrigin::kOperator);
+  if (!result.ok()) {
+    return result.status();
+  }
+  operator_texts_.emplace(text);
+  return Status::Ok();
+}
+
 Status ConstraintManager::Remove(ConstraintId id) {
   if (constraints_.erase(id.value) == 0) {
     return Status::NotFound(StrFormat("no constraint C%u", id.value));

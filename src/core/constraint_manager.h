@@ -11,6 +11,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,11 @@ class ConstraintManager {
   Result<ConstraintId> AddFromText(std::string_view text, ConstraintOrigin origin,
                                    ApplicationId owner = ApplicationId::Invalid());
 
+  // Adds the operator constraint `text` once: a text already accepted is
+  // ignored (every LRA that shares a constraint submits it). Fails like
+  // AddFromText on a text that does not parse or validate.
+  Status AddOperatorConstraint(std::string_view text);
+
   Status Remove(ConstraintId id);
 
   // Drops all constraints owned by `app` (called when an LRA finishes).
@@ -70,6 +76,8 @@ class ConstraintManager {
   std::shared_ptr<const NodeGroupRegistry> groups_;
   std::map<uint32_t, PlacementConstraint> constraints_;  // ordered for determinism
   uint32_t next_id_ = 0;
+  // Texts AddOperatorConstraint accepted.
+  std::set<std::string, std::less<>> operator_texts_;
 };
 
 }  // namespace medea

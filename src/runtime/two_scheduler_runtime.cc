@@ -1,6 +1,5 @@
 #include "src/runtime/two_scheduler_runtime.h"
 
-#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -77,16 +76,10 @@ SimTimeMs TwoSchedulerRuntime::NowMs() const {
 void TwoSchedulerRuntime::SubmitLra(LraSpec spec) {
   sync::MutexLock lock(&mu_);
   for (const std::string& text : spec.shared_constraints) {
-    if (std::find(operator_constraint_texts_.begin(), operator_constraint_texts_.end(), text) !=
-        operator_constraint_texts_.end()) {
-      continue;  // deduplicated, like Simulation::AddOperatorConstraint
+    const Status status = manager_.AddOperatorConstraint(text);
+    if (!status.ok()) {
+      MEDEA_LOG(kWarning) << "bad shared constraint: " << status.ToString();
     }
-    auto result = manager_.AddFromText(text, ConstraintOrigin::kOperator);
-    if (!result.ok()) {
-      MEDEA_LOG(kWarning) << "bad shared constraint: " << result.status().ToString();
-      continue;
-    }
-    operator_constraint_texts_.push_back(text);
   }
   for (const std::string& text : spec.app_constraints) {
     auto result = manager_.AddFromText(text, ConstraintOrigin::kApplication, spec.request.app);
@@ -106,16 +99,7 @@ void TwoSchedulerRuntime::SubmitTaskJob(std::vector<TaskRequest> tasks, const st
 
 Status TwoSchedulerRuntime::AddOperatorConstraint(const std::string& text) {
   sync::MutexLock lock(&mu_);
-  if (std::find(operator_constraint_texts_.begin(), operator_constraint_texts_.end(), text) !=
-      operator_constraint_texts_.end()) {
-    return Status::Ok();
-  }
-  auto result = manager_.AddFromText(text, ConstraintOrigin::kOperator);
-  if (!result.ok()) {
-    return result.status();
-  }
-  operator_constraint_texts_.push_back(text);
-  return Status::Ok();
+  return manager_.AddOperatorConstraint(text);
 }
 
 void TwoSchedulerRuntime::NodeDown(NodeId node) {
@@ -127,10 +111,7 @@ void TwoSchedulerRuntime::NodeDown(NodeId node) {
   LostLras lost = LraPipeline::FailNode(state_, node, &tasks);
   for (ContainerId c : tasks) {
     if (task_sched_.IsRunning(c)) {
-      const auto it = task_durations_.find(c);
-      const SimTimeMs duration = it == task_durations_.end() ? 1000 : it->second;
-      task_durations_.erase(c);
-      MEDEA_CHECK(task_sched_.EvictTask(c, now, duration).ok());
+      MEDEA_CHECK(task_sched_.EvictTask(c, now).ok());
       ++metrics_.tasks_requeued_on_failure;
     }
   }
@@ -273,7 +254,6 @@ void TwoSchedulerRuntime::HeartbeatLoop() {
       AuditStateMutation(state_, "runtime-task-tick");
     }
     for (const auto& allocation : allocations) {
-      task_durations_[allocation.container] = allocation.end_time - now;
       completions_.push(Completion{allocation.end_time, allocation.container});
     }
     if (config_.migration_every_heartbeats > 0 &&
@@ -301,7 +281,6 @@ void TwoSchedulerRuntime::CompleteDueTasks(SimTimeMs now) {
     // its stale completion is then a no-op.
     if (task_sched_.IsRunning(container)) {
       task_sched_.CompleteTask(container);
-      task_durations_.erase(container);
       ++metrics_.tasks_completed;
     }
   }

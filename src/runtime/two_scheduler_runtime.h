@@ -35,7 +35,6 @@
 #include <memory>
 #include <queue>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cluster/cluster_state.h"
@@ -185,10 +184,7 @@ class TwoSchedulerRuntime {
   TaskScheduler task_sched_ MEDEA_GUARDED_BY(mu_);
   std::unique_ptr<LraScheduler> lra_scheduler_;  // used by the LRA thread only
   LraPipeline pipeline_ MEDEA_GUARDED_BY(mu_);
-  std::vector<std::string> operator_constraint_texts_ MEDEA_GUARDED_BY(mu_);
   std::priority_queue<Completion, std::vector<Completion>, std::greater<>> completions_
-      MEDEA_GUARDED_BY(mu_);
-  std::unordered_map<ContainerId, SimTimeMs, std::hash<ContainerId>> task_durations_
       MEDEA_GUARDED_BY(mu_);
   // Task-based jobs get synthetic application ids (mirrors Simulation).
   ApplicationId next_task_app_ MEDEA_GUARDED_BY(mu_){1u << 20};

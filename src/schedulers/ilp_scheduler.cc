@@ -616,14 +616,6 @@ PlacementPlan MedeaIlpScheduler::Place(const PlacementProblem& problem) {
   // --solver-decompose): sparse tag graphs separate into independent
   // sub-MIPs, each exponentially cheaper than the stitched model.
   options.decompose = config_.solver_decompose;
-  // Root cover/clique cuts (SchedulerConfig::solver_cuts / --solver-cuts):
-  // tighten the per-node knapsack relaxations before branching.
-  options.cuts.enable = config_.solver_cuts;
-  // Pseudo-cost branching (SchedulerConfig::solver_pseudo_cost /
-  // --solver-pseudo-cost): strong-branch a few root candidates, then steer
-  // by observed dual-bound gains instead of raw fractionality.
-  options.branching = config_.solver_pseudo_cost ? solver::BranchingRule::kPseudoCost
-                                                 : solver::BranchingRule::kMostFractional;
   // Under an installed audit hook, have the solver re-certify any incumbent
   // it returns against the model (bounds, rows, integrality).
   options.certify = GetPlacementAuditor() != nullptr;

@@ -168,17 +168,6 @@ struct SchedulerConfig {
   // for large components. Exposed on the CLI as --solver-decompose; see
   // docs/solver.md.
   bool solver_decompose = false;
-  // Root cutting planes for the cycle ILP (MipOptions::cuts.enable): derive
-  // cover and clique inequalities from the per-node capacity rows before
-  // branching starts, tightening the LP relaxation of the placement
-  // knapsacks. Exposed on the CLI as --solver-cuts / --no-solver-cuts; see
-  // docs/solver.md.
-  bool solver_cuts = true;
-  // Pseudo-cost branching with strong-branch initialization at the root
-  // (MipOptions::branching). Falls back to most-fractional branching when
-  // disabled. Exposed on the CLI as --solver-pseudo-cost /
-  // --no-solver-pseudo-cost.
-  bool solver_pseudo_cost = true;
   // Seed the branch-and-bound with the Serial greedy's plan (strongly
   // recommended; placement models are too symmetric to dive cold). Exposed
   // for the warm-start ablation.

@@ -30,16 +30,7 @@ Simulation::Simulation(SimConfig config, std::unique_ptr<LraScheduler> lra_sched
 }
 
 Status Simulation::AddOperatorConstraint(const std::string& text) {
-  if (std::find(operator_constraint_texts_.begin(), operator_constraint_texts_.end(), text) !=
-      operator_constraint_texts_.end()) {
-    return Status::Ok();  // deduplicated
-  }
-  auto result = manager_.AddFromText(text, ConstraintOrigin::kOperator);
-  if (!result.ok()) {
-    return result.status();
-  }
-  operator_constraint_texts_.push_back(text);
-  return Status::Ok();
+  return manager_.AddOperatorConstraint(text);
 }
 
 void Simulation::Push(SimTimeMs time, EventType type, int payload_index, ContainerId container,
@@ -113,10 +104,7 @@ void Simulation::HandleNodeDown(NodeId node) {
 }
 
 void Simulation::RequeueTask(ContainerId container) {
-  const auto it = task_durations_.find(container);
-  const SimTimeMs duration = it == task_durations_.end() ? 1000 : it->second;
-  task_durations_.erase(container);
-  MEDEA_CHECK(task_scheduler_.EvictTask(container, now_, duration).ok());
+  MEDEA_CHECK(task_scheduler_.EvictTask(container, now_).ok());
 }
 
 void Simulation::EnsureLraCycleScheduled() {
@@ -259,7 +247,6 @@ void Simulation::RunTaskTick() {
   task_tick_scheduled_ = false;
   const auto allocations = task_scheduler_.Tick(now_);
   for (const auto& allocation : allocations) {
-    task_durations_[allocation.container] = allocation.end_time - now_;
     Push(allocation.end_time, EventType::kTaskComplete, -1, allocation.container);
   }
   EnsureTaskTickScheduled();
@@ -356,7 +343,6 @@ void Simulation::RunUntil(SimTimeMs t) {
         // policy; its stale completion event is then a no-op.
         if (task_scheduler_.IsRunning(event.container)) {
           task_scheduler_.CompleteTask(event.container);
-          task_durations_.erase(event.container);
           // Freed resources may unblock queued tasks.
           EnsureTaskTickScheduled();
         }

@@ -213,10 +213,7 @@ class Simulation {
   std::vector<LraSpec> lra_payloads_;
   std::vector<PendingTaskJob> task_payloads_;
   runtime::LraPipeline lra_pipeline_;
-  std::vector<std::string> operator_constraint_texts_;
   ApplicationId next_task_app_{1u << 20};  // task jobs get synthetic app ids
-  // Durations of running tasks (needed to requeue on eviction).
-  std::unordered_map<ContainerId, SimTimeMs, std::hash<ContainerId>> task_durations_;
   std::vector<MetricsSample> samples_;
   SimMetrics metrics_;
 };

@@ -1,7 +1,8 @@
 // Copyright (c) Medea reproduction authors.
 // Branch-and-bound internals shared by mip.cc, cuts.cc and decompose.cc: the
-// search budget, the deterministic branching perturbation, and the
-// branching-variable rule. Not installed; solver-internal only.
+// search budget, LP accounting and round-and-repair, the deterministic
+// branching perturbation, and the branching-variable rule. Not installed;
+// solver-internal only.
 
 #ifndef SRC_SOLVER_BNB_INTERNAL_H_
 #define SRC_SOLVER_BNB_INTERNAL_H_
@@ -109,6 +110,30 @@ class SearchBudget {
   bool hit_time_limit_ = false;
   bool hit_node_limit_ = false;
 };
+
+// Charges one LP solve to `stats`: the solve, its pivots and its wall time.
+// Every LP the solver runs is counted here — node relaxations, rounding
+// repairs, the cut loop, strong branching, the LP-only path and the
+// relax-and-round lane — so total_pivots is always dual + primal.
+inline void CountLp(MipStats* stats, long long dual_pivots, long long primal_pivots,
+                    Clock::time_point start) {
+  ++stats->lp_solves;
+  stats->total_pivots += dual_pivots + primal_pivots;
+  stats->dual_pivots += dual_pivots;
+  stats->primal_pivots += primal_pivots;
+  stats->lp_time_seconds += std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+// A dense SolveLp counted through CountLp (its iterations are all primal).
+Solution CountedSolveLp(const Model& model, const LpOptions& options, MipStats* stats);
+
+// Round-and-repair: fixes every integer variable of `model` at its value in
+// `x` rounded to the nearest integer (clamped into its bounds), re-solves the
+// continuous part with one counted dense LP, and restores the bounds. The
+// result is an incumbent candidate when kOptimal; callers apply their own
+// acceptance test.
+Solution RoundAndRepair(Model& model, const std::vector<double>& x, const LpOptions& options,
+                        MipStats* stats);
 
 // The deterministic branching perturbation (MipOptions::branching_perturbation
 // and docs/solver.md): makes the node LP optimum unique so branching no
@@ -303,7 +328,8 @@ inline int SelectBranchVariable(const Model& model, const std::vector<double>& x
 
 // The full solve pipeline behind the public SolveMip, without its obs span
 // and counter emission: presolve, the decomposition dispatch, the LP-only
-// path, branch and bound, and incumbent certification.
+// path, branch and bound, and incumbent certification. `stats` must be
+// non-null; it is reset first.
 // The decomposed path (decompose.cc) re-enters it for component sub-solves
 // (with decompose off), so sub-solve statistics roll up into one MipStats
 // and observability counters are emitted exactly once per public call.

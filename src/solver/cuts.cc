@@ -1,7 +1,6 @@
 #include "src/solver/cuts.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <set>
 
@@ -11,11 +10,19 @@
 namespace medea::solver::internal {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 // Tolerance for "coefficients exceed the rhs" tests during separation. Kept
 // small and absolute: placement coefficients are O(1..10).
 constexpr double kCutTol = 1e-9;
+
+// Root cut loop limits: separation rounds (each: separate, add, dual
+// re-solve) and cuts accepted per round, most violated first.
+constexpr int kMaxCutRounds = 8;
+constexpr int kMaxCutsPerRound = 32;
+// Slack-based aging: a cut whose slack exceeds kCutSlackTol for kMaxCutAge
+// consecutive re-solves is retired from the pool (never enters the final
+// branching model).
+constexpr double kCutSlackTol = 1e-7;
+constexpr int kMaxCutAge = 2;
 
 bool IsBinary(const Model& model, VarIndex j) {
   const auto& col = model.column(j);
@@ -73,7 +80,7 @@ bool SplitRow(const Model& model, const LeRow& view,
 }  // namespace
 
 std::vector<Cut> SeparateCoverCuts(const Model& model, int original_rows,
-                                   const std::vector<double>& x, const CutOptions& options) {
+                                   const std::vector<double>& x, double min_violation) {
   std::vector<Cut> cuts;
   std::vector<std::pair<VarIndex, double>> eligible;
   for (const LeRow& view : LeViews(model, original_rows)) {
@@ -149,7 +156,7 @@ std::vector<Cut> SeparateCoverCuts(const Model& model, int original_rows,
       lhs_value += coeff * x[static_cast<size_t>(var)];
     }
     cut.violation = lhs_value - cut.rhs;
-    if (cut.violation >= options.min_violation) {
+    if (cut.violation >= min_violation) {
       cuts.push_back(std::move(cut));
     }
   }
@@ -157,7 +164,7 @@ std::vector<Cut> SeparateCoverCuts(const Model& model, int original_rows,
 }
 
 std::vector<Cut> SeparateCliqueCuts(const Model& model, int original_rows,
-                                    const std::vector<double>& x, const CutOptions& options) {
+                                    const std::vector<double>& x, double min_violation) {
   std::vector<Cut> cuts;
   std::vector<std::pair<VarIndex, double>> eligible;
   for (const LeRow& view : LeViews(model, original_rows)) {
@@ -203,24 +210,19 @@ std::vector<Cut> SeparateCliqueCuts(const Model& model, int original_rows,
       lhs_value += coeff * x[static_cast<size_t>(var)];
     }
     cut.violation = lhs_value - cut.rhs;
-    if (cut.violation >= options.min_violation) {
+    if (cut.violation >= min_violation) {
       cuts.push_back(std::move(cut));
     }
   }
   return cuts;
 }
 
-void AddRootCuts(Model& model, const MipOptions& options, RootCutStats* stats,
+void AddRootCuts(Model& model, const MipOptions& options, MipStats* stats,
                  const SearchBudget& budget) {
-  RootCutStats local;
-  RootCutStats& out = stats != nullptr ? *stats : local;
-  out = RootCutStats{};
-  const CutOptions& copt = options.cuts;
-  if (!copt.enable || model.num_integer_variables() == 0 || model.num_rows() == 0) {
+  if (!options.cuts.enable || model.num_integer_variables() == 0 || model.num_rows() == 0) {
     return;
   }
   const int original_rows = model.num_rows();
-  const auto start = Clock::now();
 
   // The loop engine: every accepted cut enters through the basis-preserving
   // AddRow and the dual simplex repairs it on the next warm Solve(). Used
@@ -246,18 +248,21 @@ void AddRootCuts(Model& model, const MipOptions& options, RootCutStats* stats,
     return key;
   };
 
-  for (int round = 0; round < copt.max_rounds; ++round) {
+  for (int round = 0; round < kMaxCutRounds; ++round) {
     if (budget.TimeUp()) {
       break;  // the cuts found so far stay valid
     }
+    const auto start = Clock::now();
     const Solution sol = engine.Solve(budget.NodeLpOptions(options.lp));
-    ++out.lp_solves;
+    const auto& info = engine.last_info();
+    CountLp(stats, info.dual_pivots, info.primal_pivots, start);
+    stats->cut_pivots += info.pivots;
     if (sol.status != SolveStatus::kOptimal) {
       break;  // infeasible/limited root: branch and bound deals with it
     }
     const std::vector<double>& x = sol.values;
 
-    // Slack-based aging: a cut that stayed slack for max_age consecutive
+    // Slack-based aging: a cut that stayed slack for kMaxCutAge consecutive
     // re-solves is retired from the pool. (Its row stays in the loop engine,
     // where a slack row costs nothing; it simply never reaches the model the
     // search branches on.)
@@ -269,18 +274,18 @@ void AddRootCuts(Model& model, const MipOptions& options, RootCutStats* stats,
       for (const auto& [var, coeff] : entry.cut.terms) {
         activity += coeff * x[static_cast<size_t>(var)];
       }
-      if (entry.cut.rhs - activity > copt.slack_tol) {
-        if (++entry.age >= copt.max_age) {
+      if (entry.cut.rhs - activity > kCutSlackTol) {
+        if (++entry.age >= kMaxCutAge) {
           entry.active = false;
-          ++out.aged_out;
+          ++stats->cuts_aged_out;
         }
       } else {
         entry.age = 0;
       }
     }
 
-    std::vector<Cut> candidates = SeparateCoverCuts(model, original_rows, x, copt);
-    std::vector<Cut> cliques = SeparateCliqueCuts(model, original_rows, x, copt);
+    std::vector<Cut> candidates = SeparateCoverCuts(model, original_rows, x, kMinCutViolation);
+    std::vector<Cut> cliques = SeparateCliqueCuts(model, original_rows, x, kMinCutViolation);
     candidates.insert(candidates.end(), std::make_move_iterator(cliques.begin()),
                       std::make_move_iterator(cliques.end()));
     // Most violated first; fully deterministic tie-break on the support.
@@ -295,7 +300,7 @@ void AddRootCuts(Model& model, const MipOptions& options, RootCutStats* stats,
     });
     int added = 0;
     for (Cut& cut : candidates) {
-      if (added >= copt.max_per_round) {
+      if (added >= kMaxCutsPerRound) {
         break;
       }
       if (!seen.insert(key_of(cut)).second) {
@@ -308,38 +313,30 @@ void AddRootCuts(Model& model, const MipOptions& options, RootCutStats* stats,
     if (added == 0) {
       break;
     }
-    ++out.rounds;
+    ++stats->cut_rounds;
   }
 
-  out.generated = static_cast<int>(pool.size());
+  stats->cuts_generated += static_cast<int>(pool.size());
   for (const PoolEntry& entry : pool) {
     if (entry.active) {
-      ++out.active;
+      ++stats->cuts_active;
       model.AddRow(entry.cut.terms, RowSense::kLessEqual, entry.cut.rhs, entry.cut.family);
     }
   }
-  out.pivots = engine.stats().pivots;
-  out.dual_pivots = engine.stats().dual_pivots;
-  out.lp_time_seconds = std::chrono::duration<double>(Clock::now() - start).count();
 }
 
 void InitPseudoCostsAtRoot(const Model& model, const MipOptions& options, PseudoCosts* pc,
-                           StrongBranchStats* stats, const SearchBudget& budget) {
-  StrongBranchStats local;
-  StrongBranchStats& out = stats != nullptr ? *stats : local;
-  out = StrongBranchStats{};
+                           MipStats* stats, const SearchBudget& budget) {
   pc->Resize(model.num_variables());
-  if (options.branching != BranchingRule::kPseudoCost || options.strong_branch_candidates <= 0 ||
-      model.num_integer_variables() == 0) {
+  if (options.branching != BranchingRule::kPseudoCost || model.num_integer_variables() == 0) {
     return;
   }
-  const auto start = Clock::now();
-  LpStats root_stats;
-  const Solution root = SolveLp(model, budget.NodeLpOptions(options.lp), &root_stats);
-  ++out.lp_solves;
-  out.pivots += root_stats.iterations;
+  const auto strong_branch_lp = [&](const Model& m) {
+    ++stats->strong_branch_solves;
+    return CountedSolveLp(m, budget.NodeLpOptions(options.lp), stats);
+  };
+  const Solution root = strong_branch_lp(model);
   if (root.status != SolveStatus::kOptimal) {
-    out.lp_time_seconds = std::chrono::duration<double>(Clock::now() - start).count();
     return;
   }
   const double sign = model.maximize() ? 1.0 : -1.0;
@@ -368,8 +365,8 @@ void InitPseudoCostsAtRoot(const Model& model, const MipOptions& options, Pseudo
     }
     return lhs.var < rhs.var;
   });
-  if (static_cast<int>(candidates.size()) > options.strong_branch_candidates) {
-    candidates.resize(static_cast<size_t>(options.strong_branch_candidates));
+  if (static_cast<int>(candidates.size()) > kStrongBranchCandidates) {
+    candidates.resize(static_cast<size_t>(kStrongBranchCandidates));
   }
 
   // An infeasible child is maximally informative: score it as a huge
@@ -398,10 +395,7 @@ void InitPseudoCostsAtRoot(const Model& model, const MipOptions& options, Pseudo
       } else {
         child.SetBounds(cand.var, col.lower, std::min(floor_v, col.upper));
       }
-      LpStats child_stats;
-      const Solution sol = SolveLp(child, budget.NodeLpOptions(options.lp), &child_stats);
-      ++out.lp_solves;
-      out.pivots += child_stats.iterations;
+      const Solution sol = strong_branch_lp(child);
       child.SetBounds(cand.var, col.lower, col.upper);
       if (sol.status == SolveStatus::kOptimal) {
         pc->Update(cand.var, up,
@@ -412,7 +406,6 @@ void InitPseudoCostsAtRoot(const Model& model, const MipOptions& options, Pseudo
       // Any other verdict (time/iteration limit): no observation.
     }
   }
-  out.lp_time_seconds = std::chrono::duration<double>(Clock::now() - start).count();
 }
 
 }  // namespace medea::solver::internal

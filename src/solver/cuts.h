@@ -47,54 +47,42 @@ struct Cut {
   double violation = 0.0;   // at the LP point it was separated from
 };
 
-// Separates violated cover cuts from the first `original_rows` rows of
-// `model` at the fractional point `x`. Exposed for the validity tests.
+// A separated cut must be violated by at least this much at the LP point.
+inline constexpr double kMinCutViolation = 1e-4;
+
+// Root candidates strong-branched by InitPseudoCostsAtRoot.
+inline constexpr int kStrongBranchCandidates = 8;
+
+// Separates cover cuts violated by at least `min_violation` from the first
+// `original_rows` rows of `model` at the fractional point `x`. Exposed for
+// the validity tests.
 std::vector<Cut> SeparateCoverCuts(const Model& model, int original_rows,
-                                   const std::vector<double>& x, const CutOptions& options);
+                                   const std::vector<double>& x, double min_violation);
 
 // Separates violated clique cuts (pairwise-conflicting binary prefixes).
 std::vector<Cut> SeparateCliqueCuts(const Model& model, int original_rows,
-                                    const std::vector<double>& x, const CutOptions& options);
-
-// Statistics of one AddRootCuts invocation; folded into MipStats by the
-// callers (cut-loop pivots also count toward MipStats::total_pivots).
-struct RootCutStats {
-  int generated = 0;   // cuts accepted into the pool across all rounds
-  int active = 0;      // still tight when the loop ended (appended to model)
-  int aged_out = 0;    // retired by slack-based aging
-  int rounds = 0;      // separation rounds that added at least one cut
-  int lp_solves = 0;
-  long long pivots = 0;
-  long long dual_pivots = 0;
-  double lp_time_seconds = 0.0;
-};
+                                    const std::vector<double>& x, double min_violation);
 
 // Runs the root cutting-plane loop on `model` (already perturbed by the
 // caller) and appends the surviving active cuts to it as kLessEqual rows.
-// No-op unless options.cuts.enable, the model has integer variables and at
-// least one row. The loop stops at `budget`'s deadline, and each re-solve
-// gets that budget's node-LP share of the time left.
-void AddRootCuts(Model& model, const MipOptions& options, RootCutStats* stats,
+// The loop's LPs and its cuts_* counters go to `stats`. No-op unless
+// options.cuts.enable, the model has integer variables and at least one
+// row. The loop stops at `budget`'s deadline, and each re-solve gets that
+// budget's node-LP share of the time left.
+void AddRootCuts(Model& model, const MipOptions& options, MipStats* stats,
                  const SearchBudget& budget);
 
-// Dense LP solves spent by InitPseudoCostsAtRoot (also counted into
-// MipStats::lp_solves / total_pivots by the callers).
-struct StrongBranchStats {
-  int lp_solves = 0;
-  long long pivots = 0;
-  double lp_time_seconds = 0.0;
-};
-
-// Initializes pseudo-cost tables by strong-branching the most fractional
-// root-LP candidates (MipOptions::strong_branch_candidates, two child LPs
-// each). Uses the DENSE solver exclusively so the resulting tables — and
-// therefore every branching decision seeded by them — are identical across
-// the warm and cold configurations. `pc` is resized to the model's variable
-// count; tables stay zero when the rule is not kPseudoCost. Strong
-// branching stops at `budget`'s deadline, and each LP gets that budget's
-// node-LP share of the time left.
+// Initializes pseudo-cost tables by strong-branching the
+// kStrongBranchCandidates most fractional root-LP candidates (two child LPs
+// each); every dense LP it runs, the root LP included, is counted into
+// `stats` and its strong_branch_solves. Uses the DENSE solver exclusively so
+// the resulting tables — and therefore every branching decision seeded by
+// them — are identical across the warm and cold configurations. `pc` is
+// resized to the model's variable count; tables stay zero when the rule is
+// not kPseudoCost. Strong branching stops at `budget`'s deadline, and each
+// LP gets that budget's node-LP share of the time left.
 void InitPseudoCostsAtRoot(const Model& model, const MipOptions& options, PseudoCosts* pc,
-                           StrongBranchStats* stats, const SearchBudget& budget);
+                           MipStats* stats, const SearchBudget& budget);
 
 }  // namespace medea::solver::internal
 

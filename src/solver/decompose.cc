@@ -11,12 +11,12 @@
 //      component sub-solve gets the remaining global wall-clock budget at
 //      dispatch time as its own deadline.
 //   3. Per component: a relax-and-round fast lane (one LP relaxation, then
-//      the root rounding repair from the exact engines applied to a scratch
-//      copy) whose result is accepted only when the solver-side certifier
-//      passes AND the objective is within the pruning gap of the LP dual
-//      bound. Anything else falls back to exact branch and bound for that
-//      component only — with the rounded point as a warm start when it was
-//      feasible, and root reduced-cost fixing enabled.
+//      the exact engine's round-and-repair) whose result is accepted only
+//      when the solver-side certifier passes AND the objective is within
+//      the pruning gap of the LP dual bound. Anything else falls back to
+//      exact branch and bound for that component only — with the rounded
+//      point as a warm start when it was feasible, and root reduced-cost
+//      fixing enabled.
 //   4. Stitching: per-component solutions map back through Component::vars,
 //      fixed variables contribute their bound value, constant rows are
 //      checked directly. The dual bound is the sum of the per-component
@@ -30,6 +30,7 @@
 #include <chrono>
 #include <cmath>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -191,11 +192,14 @@ Model ExtractComponent(const Model& model, const Component& comp) {
 }
 
 bool CheckIncumbent(const Model& model, const std::vector<double>& values,
-                    double feasibility_tol, double integrality_tol) {
+                    double feasibility_tol, double integrality_tol, std::string* violation) {
   if (static_cast<int>(values.size()) != model.num_variables()) {
+    if (violation != nullptr) {
+      *violation = "value count differs from the variable count";
+    }
     return false;
   }
-  if (!model.IsFeasible(values, feasibility_tol)) {
+  if (!model.IsFeasible(values, feasibility_tol, violation)) {
     return false;
   }
   for (int j = 0; j < model.num_variables(); ++j) {
@@ -204,6 +208,9 @@ bool CheckIncumbent(const Model& model, const std::vector<double>& values,
     }
     const double v = values[static_cast<size_t>(j)];
     if (std::fabs(v - std::round(v)) > integrality_tol) {
+      if (violation != nullptr) {
+        *violation = "integer variable " + std::to_string(j) + " is fractional";
+      }
       return false;
     }
   }
@@ -213,32 +220,12 @@ bool CheckIncumbent(const Model& model, const std::vector<double>& values,
 namespace internal {
 namespace {
 
-// Accounting of one component solve, merged into the caller's MipStats by
-// the stitcher.
+// One component solve: its solution and its accounting, merged into the
+// caller's MipStats by the stitcher (the dual bound is summed separately).
 struct ComponentResult {
   Solution solution;
   MipStats stats;
-  bool fast_lane_accepted = false;
-  bool fast_lane_rejected = false;
 };
-
-// Folds one component's counters into the aggregate. Dual-bound fields are
-// handled by the stitcher (bounds sum, they do not accumulate).
-void AccumulateStats(const MipStats& in, MipStats* out) {
-  out->nodes_explored += in.nodes_explored;
-  out->lp_solves += in.lp_solves;
-  out->lp_failures += in.lp_failures;
-  out->hit_time_limit = out->hit_time_limit || in.hit_time_limit;
-  out->hit_node_limit = out->hit_node_limit || in.hit_node_limit;
-  out->lp_time_seconds += in.lp_time_seconds;
-  out->total_pivots += in.total_pivots;
-  out->warm_start_hits += in.warm_start_hits;
-  out->cold_restarts += in.cold_restarts;
-  out->presolve.singleton_rows += in.presolve.singleton_rows;
-  out->presolve.redundant_rows += in.presolve.redundant_rows;
-  out->presolve.bounds_tightened += in.presolve.bounds_tightened;
-  out->reduced_cost_fixed += in.reduced_cost_fixed;
-}
 
 // Analytic solve of a row-less singleton component: push the variable to
 // whichever bound the objective favors.
@@ -284,25 +271,15 @@ enum class FastLane {
 };
 
 // Relax-and-round fast lane on one component sub-model: one LP relaxation,
-// then (if fractional) the exact engines' root rounding repair on a scratch
-// copy. Acceptance requires the solver-side certifier AND an objective
-// within the pruning gap of the LP dual bound. On rejection, a feasible but
-// out-of-gap rounded point is left in *warm to seed the exact search.
-FastLane TryRelaxAndRound(const Model& sub, const MipOptions& options,
-                          const LpOptions& lp_options, MipStats* stats, Solution* out,
-                          std::vector<double>* warm) {
-  auto timed_lp = [&](const Model& m) {
-    const auto start = Clock::now();
-    LpStats lp_stats;
-    const Solution lp = SolveLp(m, lp_options, &lp_stats);
-    ++stats->lp_solves;
-    ++stats->cold_restarts;
-    stats->total_pivots += lp_stats.iterations;
-    stats->lp_time_seconds += std::chrono::duration<double>(Clock::now() - start).count();
-    return lp;
-  };
-
-  const Solution relax = timed_lp(sub);
+// then (if fractional) the exact engines' round-and-repair, which leaves
+// `sub`'s bounds as it found them. Acceptance requires the solver-side
+// certifier AND an objective within the pruning gap of the LP dual bound. On
+// rejection, a feasible but out-of-gap rounded point is left in *warm to
+// seed the exact search. Both LPs are cold dense solves.
+FastLane TryRelaxAndRound(Model& sub, const MipOptions& options, const LpOptions& lp_options,
+                          MipStats* stats, Solution* out, std::vector<double>* warm) {
+  ++stats->cold_restarts;
+  const Solution relax = CountedSolveLp(sub, lp_options, stats);
   if (relax.status == SolveStatus::kInfeasible || relax.status == SolveStatus::kUnbounded) {
     out->status = relax.status;
     return FastLane::kVerdict;
@@ -315,17 +292,8 @@ FastLane TryRelaxAndRound(const Model& sub, const MipOptions& options,
   if (MostFractionalVar(sub, relax.values, options.integrality_tol) < 0) {
     candidate = relax.values;
   } else {
-    Model scratch = sub;
-    for (int j = 0; j < scratch.num_variables(); ++j) {
-      const auto& col = scratch.column(j);
-      if (col.type == VarType::kContinuous) {
-        continue;
-      }
-      const double v =
-          std::clamp(std::round(relax.values[static_cast<size_t>(j)]), col.lower, col.upper);
-      scratch.SetBounds(j, v, v);
-    }
-    const Solution repaired = timed_lp(scratch);
+    ++stats->cold_restarts;
+    const Solution repaired = RoundAndRepair(sub, relax.values, lp_options, stats);
     if (repaired.status != SolveStatus::kOptimal) {
       return FastLane::kRejected;
     }
@@ -368,7 +336,7 @@ ComponentResult SolveOneComponent(const Model& model, const Component& comp,
     return res;
   }
 
-  const Model sub = ExtractComponent(model, comp);
+  Model sub = ExtractComponent(model, comp);
   MipOptions sub_options = options;
   sub_options.decompose = false;
   // The dispatcher certifies the stitched full solution.
@@ -390,7 +358,7 @@ ComponentResult SolveOneComponent(const Model& model, const Component& comp,
     }
   }
 
-  if (options.relax_and_round && sub.num_integer_variables() >= options.relax_round_min_integers) {
+  if (sub.num_integer_variables() >= options.relax_round_min_integers) {
     std::vector<double> warm;
     LpOptions fast_lp = sub_options.lp;
     if (deadline_active) {
@@ -403,13 +371,13 @@ ComponentResult SolveOneComponent(const Model& model, const Component& comp,
     const FastLane lane =
         TryRelaxAndRound(sub, sub_options, fast_lp, &res.stats, &res.solution, &warm);
     if (lane == FastLane::kAccepted) {
-      res.fast_lane_accepted = true;
+      res.stats.relax_round_accepted = 1;
       return res;
     }
     if (lane == FastLane::kVerdict) {
       return res;
     }
-    res.fast_lane_rejected = true;
+    res.stats.relax_round_rejected = 1;
     if (!warm.empty()) {
       sub_options.warm_start = std::move(warm);
     }
@@ -417,11 +385,9 @@ ComponentResult SolveOneComponent(const Model& model, const Component& comp,
 
   MipStats search_stats;
   res.solution = SolveMipImpl(sub, sub_options, &search_stats);
-  AccumulateStats(search_stats, &res.stats);
-  if (search_stats.has_best_bound) {
-    res.stats.has_best_bound = true;
-    res.stats.best_bound = search_stats.best_bound;
-  }
+  res.stats.Merge(search_stats);
+  res.stats.has_best_bound = search_stats.has_best_bound;
+  res.stats.best_bound = search_stats.best_bound;
   return res;
 }
 
@@ -454,17 +420,13 @@ Solution SolveMipDecomposed(const Model& model, const MipOptions& options, MipSt
     MipOptions mono = options;
     mono.decompose = false;
     Solution solution = SolveMipImpl(model, mono, stats);
-    if (stats != nullptr) {
-      stats->components = num_components;
-      stats->largest_component_integers = largest;
-    }
+    stats->components = num_components;
+    stats->largest_component_integers = largest;
     return solution;
   }
 
-  if (stats != nullptr) {
-    stats->components = num_components;
-    stats->largest_component_integers = largest;
-  }
+  stats->components = num_components;
+  stats->largest_component_integers = largest;
 
   Solution solution;
   // Constant rows reference only fixed variables: check them against the
@@ -512,11 +474,7 @@ Solution SolveMipDecomposed(const Model& model, const MipOptions& options, MipSt
   for (int i = 0; i < num_components; ++i) {
     const ComponentResult& res = results[static_cast<size_t>(i)];
     const Component& comp = dec.components[static_cast<size_t>(i)];
-    if (stats != nullptr) {
-      AccumulateStats(res.stats, stats);
-      stats->relax_round_accepted += res.fast_lane_accepted ? 1 : 0;
-      stats->relax_round_rejected += res.fast_lane_rejected ? 1 : 0;
-    }
+    stats->Merge(res.stats);
     if (res.solution.status == SolveStatus::kInfeasible) {
       any_infeasible = true;
     } else if (res.solution.status == SolveStatus::kUnbounded) {
@@ -553,7 +511,7 @@ Solution SolveMipDecomposed(const Model& model, const MipOptions& options, MipSt
   solution.status = all_optimal ? SolveStatus::kOptimal : SolveStatus::kFeasible;
   solution.values = std::move(values);
   solution.objective = model.Objective(solution.values);
-  if (stats != nullptr && all_bounded) {
+  if (all_bounded) {
     stats->has_best_bound = true;
     stats->best_bound = bound_sum;
   }

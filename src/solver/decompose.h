@@ -18,6 +18,7 @@
 #ifndef SRC_SOLVER_DECOMPOSE_H_
 #define SRC_SOLVER_DECOMPOSE_H_
 
+#include <string>
 #include <vector>
 
 #include "src/solver/mip.h"
@@ -59,12 +60,14 @@ Decomposition DecomposeModel(const Model& model);
 Model ExtractComponent(const Model& model, const Component& comp);
 
 // Solver-side certifier for a candidate incumbent: primal feasibility of
-// every row and bound plus integrality of every integer variable. The same
-// checks MipOptions::certify aborts on, in predicate form — the
+// every row and bound plus integrality of every integer variable. The
 // relax-and-round fast lane uses it as its acceptance gate (a rejected
-// candidate demotes the component to exact branch and bound).
+// candidate demotes the component to exact branch and bound), and
+// MipOptions::certify aborts when it rejects a returned incumbent. On
+// rejection, `violation` (when non-null) names the first failed check.
 bool CheckIncumbent(const Model& model, const std::vector<double>& values,
-                    double feasibility_tol, double integrality_tol);
+                    double feasibility_tol, double integrality_tol,
+                    std::string* violation = nullptr);
 
 namespace internal {
 

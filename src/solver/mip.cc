@@ -46,33 +46,19 @@ class BranchAndBound {
     Solution lp;
     if (inc_ != nullptr) {
       lp = inc_->Solve(budget_.NodeLpOptions(opts_.lp));
-      if (stats_ != nullptr) {
-        const auto& info = inc_->last_info();
-        stats_->total_pivots += info.pivots;
-        stats_->dual_pivots += info.dual_pivots;
-        stats_->primal_pivots += info.primal_pivots;
-        if (info.warm && !info.dense_fallback) {
-          ++stats_->warm_start_hits;
-        } else {
-          ++stats_->cold_restarts;
-        }
-      }
-    } else {
-      LpStats lp_stats;
-      lp = SolveLp(model_, budget_.NodeLpOptions(opts_.lp), &lp_stats);
-      if (stats_ != nullptr) {
-        stats_->total_pivots += lp_stats.iterations;
-        stats_->primal_pivots += lp_stats.iterations;
+      const auto& info = inc_->last_info();
+      internal::CountLp(stats_, info.dual_pivots, info.primal_pivots, start);
+      if (info.warm && !info.dense_fallback) {
+        ++stats_->warm_start_hits;
+      } else {
         ++stats_->cold_restarts;
       }
+    } else {
+      lp = internal::CountedSolveLp(model_, budget_.NodeLpOptions(opts_.lp), stats_);
+      ++stats_->cold_restarts;
     }
-    const double elapsed_seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    if (stats_ != nullptr) {
-      ++stats_->lp_solves;
-      stats_->lp_time_seconds += elapsed_seconds;
-    }
-    obs::Observe("solver.node_lp_ms", elapsed_seconds * 1000.0);
+    obs::Observe("solver.node_lp_ms",
+                 std::chrono::duration<double, std::milli>(Clock::now() - start).count());
     return lp;
   }
 
@@ -109,7 +95,7 @@ class BranchAndBound {
   // them out preserves the parent basis for the next node).
   std::unique_ptr<IncrementalLpSolver> inc_;
   const MipOptions& opts_;
-  MipStats* stats_;
+  MipStats* stats_;  // never null
   // Wall-clock / node-cap accounting.
   internal::SearchBudget budget_;
 
@@ -135,36 +121,9 @@ class BranchAndBound {
 };
 
 void BranchAndBound::TryRounding(const std::vector<double>& x) {
-  // Round-and-repair: fix every integer variable at its rounded LP value and
-  // re-solve the continuous part, so slack/penalty variables become
-  // consistent with the rounded integers. Any feasible result is a valid
-  // incumbent.
-  std::vector<double> rounded = x;
-  std::vector<std::pair<double, double>> saved;
-  saved.reserve(static_cast<size_t>(model_.num_variables()));
-  for (int j = 0; j < model_.num_variables(); ++j) {
-    const auto& col = model_.column(j);
-    saved.emplace_back(col.lower, col.upper);
-    if (col.type == VarType::kContinuous) {
-      continue;
-    }
-    const double v =
-        std::clamp(std::round(rounded[static_cast<size_t>(j)]), col.lower, col.upper);
-    model_.SetBounds(j, v, v);
-  }
-  const auto start = Clock::now();
-  LpStats lp_stats;
-  const Solution repaired = SolveLp(model_, budget_.NodeLpOptions(opts_.lp), &lp_stats);
-  for (int j = 0; j < model_.num_variables(); ++j) {
-    model_.SetBounds(j, saved[static_cast<size_t>(j)].first,
-                     saved[static_cast<size_t>(j)].second);
-  }
-  if (stats_ != nullptr) {
-    ++stats_->lp_solves;
-    stats_->total_pivots += lp_stats.iterations;
-    stats_->primal_pivots += lp_stats.iterations;
-    stats_->lp_time_seconds += std::chrono::duration<double>(Clock::now() - start).count();
-  }
+  // Any feasible repaired point is a valid incumbent.
+  const Solution repaired =
+      internal::RoundAndRepair(model_, x, budget_.NodeLpOptions(opts_.lp), stats_);
   if (repaired.status == SolveStatus::kOptimal &&
       model_.IsFeasible(repaired.values, 1e-5)) {
     MaybeUpdateIncumbent(repaired.values, perturb_.TrueObjective(model_, repaired.values));
@@ -191,9 +150,7 @@ void BranchAndBound::Dfs(int depth, double parent_bound, int parent_branch_var, 
     return;
   }
   ++nodes_;
-  if (stats_ != nullptr) {
-    ++stats_->nodes_explored;
-  }
+  ++stats_->nodes_explored;
 
   const Solution lp = NodeLp();
   if (lp.status == SolveStatus::kInfeasible) {
@@ -207,9 +164,7 @@ void BranchAndBound::Dfs(int depth, double parent_bound, int parent_branch_var, 
     // fair-share cap is only a *global* timeout if the deadline has really
     // passed — otherwise the search carries on with the remaining budget.
     search_complete_ = false;
-    if (stats_ != nullptr) {
-      ++stats_->lp_failures;
-    }
+    ++stats_->lp_failures;
     if (lp.status == SolveStatus::kTimeLimit) {
       budget_.OnNodeLpTimeLimit();
     }
@@ -250,23 +205,17 @@ void BranchAndBound::Dfs(int depth, double parent_bound, int parent_branch_var, 
       return;  // the repaired incumbent already matches this node's bound
     }
   }
-  // Reduced-cost fixing (MipOptions::reduced_cost_fixing / node_...): by LP
+  // Root reduced-cost fixing (MipOptions::reduced_cost_fixing): by LP
   // duality, any feasible point that moves variable j one unit off the
-  // bound its reduced cost d holds it at scores no better than the node
+  // bound its reduced cost d holds it at scores no better than the root
   // bound plus -|d|. When even that ceiling cannot beat the incumbent by
   // more than the pruning gap, the variable is fixed at its bound — the
-  // same within-gap solutions the gap test already forfeits. Root fixes are
-  // permanent (Dfs(0) is the root invocation, nothing outlives them);
-  // node-level fixes are scoped to this subtree and restored below.
-  std::vector<std::pair<int, std::pair<double, double>>> rc_restore;
-  const bool fix_here =
-      (depth == 0 ? opts_.reduced_cost_fixing : opts_.node_reduced_cost_fixing) &&
-      have_incumbent_ &&
-      lp.reduced_costs.size() == static_cast<size_t>(model_.num_variables());
-  if (fix_here) {
+  // same within-gap solutions the gap test already forfeits. The fixes are
+  // permanent (Dfs(0) is the root invocation, nothing outlives them).
+  if (depth == 0 && opts_.reduced_cost_fixing && have_incumbent_ &&
+      lp.reduced_costs.size() == static_cast<size_t>(model_.num_variables())) {
     const double fix_gap =
         std::max(opts_.absolute_gap, opts_.relative_gap * std::fabs(best_score_));
-    int fixed = 0;
     for (int j = 0; j < model_.num_variables(); ++j) {
       const auto& col = model_.column(j);
       if (col.type == VarType::kContinuous || col.lower >= col.upper || j == branch_var) {
@@ -285,18 +234,8 @@ void BranchAndBound::Dfs(int depth, double parent_bound, int parent_branch_var, 
           std::fabs(fix_at - std::round(fix_at)) > opts_.integrality_tol) {
         continue;  // only fix at a clean integer bound
       }
-      if (depth > 0) {
-        rc_restore.emplace_back(j, std::make_pair(col.lower, col.upper));
-      }
       SetVarBounds(j, std::round(fix_at), std::round(fix_at));
-      ++fixed;
-    }
-    if (stats_ != nullptr) {
-      if (depth == 0) {
-        stats_->reduced_cost_fixed += fixed;
-      } else {
-        stats_->node_reduced_cost_fixed += fixed;
-      }
+      ++stats_->reduced_cost_fixed;
     }
   }
 
@@ -329,11 +268,6 @@ void BranchAndBound::Dfs(int depth, double parent_bound, int parent_branch_var, 
       break;
     }
   }
-  // Unwind this node's reduced-cost fixes on every exit path, so siblings
-  // above see the bounds they branched with.
-  for (auto it = rc_restore.rbegin(); it != rc_restore.rend(); ++it) {
-    SetVarBounds(it->first, it->second.first, it->second.second);
-  }
 }
 
 Solution BranchAndBound::Run() {
@@ -341,23 +275,8 @@ Solution BranchAndBound::Run() {
   // built, so every node relaxation — warm or cold — branches on the
   // cut-augmented polytope. Cuts are valid for every integer point, so
   // incumbent scoring, rounding repair and the dual bound all stay sound.
-  internal::RootCutStats cut_stats;
-  internal::AddRootCuts(model_, opts_, &cut_stats, budget_);
-  internal::StrongBranchStats sb_stats;
-  internal::InitPseudoCostsAtRoot(model_, opts_, &pseudo_costs_, &sb_stats, budget_);
-  if (stats_ != nullptr) {
-    stats_->cuts_generated += cut_stats.generated;
-    stats_->cuts_active += cut_stats.active;
-    stats_->cuts_aged_out += cut_stats.aged_out;
-    stats_->cut_rounds += cut_stats.rounds;
-    stats_->cut_pivots += cut_stats.pivots;
-    stats_->lp_solves += cut_stats.lp_solves + sb_stats.lp_solves;
-    stats_->total_pivots += cut_stats.pivots + sb_stats.pivots;
-    stats_->dual_pivots += cut_stats.dual_pivots;
-    stats_->primal_pivots += cut_stats.pivots - cut_stats.dual_pivots + sb_stats.pivots;
-    stats_->lp_time_seconds += cut_stats.lp_time_seconds + sb_stats.lp_time_seconds;
-    stats_->strong_branch_solves += sb_stats.lp_solves;
-  }
+  internal::AddRootCuts(model_, opts_, stats_, budget_);
+  internal::InitPseudoCostsAtRoot(model_, opts_, &pseudo_costs_, stats_, budget_);
   if (opts_.use_incremental_lp) {
     inc_ = std::make_unique<IncrementalLpSolver>(model_);
   }
@@ -373,66 +292,104 @@ Solution BranchAndBound::Run() {
   } else {
     solution.status = search_complete_ ? SolveStatus::kInfeasible : SolveStatus::kTimeLimit;
   }
-  if (stats_ != nullptr) {
-    stats_->hit_time_limit = budget_.hit_time_limit();
-    stats_->hit_node_limit = budget_.hit_node_limit();
-    // A complete search proves the optimum is at most the best explored or
-    // gap-pruned score; a budget-limited one can only claim the root bound.
-    double bound_score = kInfinity;
-    bool have_bound = false;
-    if (search_complete_ && (have_incumbent_ || pruned_bound_max_ > -kInfinity)) {
-      bound_score = std::max(best_score_, pruned_bound_max_);
-      have_bound = true;
-    } else if (have_root_bound_) {
-      bound_score = root_bound_score_;
-      have_bound = true;
-    }
-    if (have_bound) {
-      stats_->has_best_bound = true;
-      stats_->best_bound = model_.maximize() ? bound_score : -bound_score;
-    }
+  stats_->hit_time_limit = budget_.hit_time_limit();
+  stats_->hit_node_limit = budget_.hit_node_limit();
+  // A complete search proves the optimum is at most the best explored or
+  // gap-pruned score; a budget-limited one can only claim the root bound.
+  double bound_score = kInfinity;
+  bool have_bound = false;
+  if (search_complete_ && (have_incumbent_ || pruned_bound_max_ > -kInfinity)) {
+    bound_score = std::max(best_score_, pruned_bound_max_);
+    have_bound = true;
+  } else if (have_root_bound_) {
+    bound_score = root_bound_score_;
+    have_bound = true;
+  }
+  if (have_bound) {
+    stats_->has_best_bound = true;
+    stats_->best_bound = model_.maximize() ? bound_score : -bound_score;
   }
   return solution;
 }
 
-// MipOptions::certify: re-verify a returned incumbent against the model —
-// primal feasibility of every row/bound plus integrality of every integer
-// variable — and abort the process on mismatch (a wrong incumbent means the
+// MipOptions::certify: re-verify a returned incumbent against the model with
+// CheckIncumbent (every row and bound, integrality of every integer
+// variable) and abort the process on mismatch (a wrong incumbent means the
 // search itself is broken; nothing downstream can be trusted).
 void CertifyIncumbent(const Model& model, const MipOptions& options, const Solution& solution) {
   if (!options.certify || !solution.HasSolution()) {
     return;
   }
-  MEDEA_CHECK(static_cast<int>(solution.values.size()) == model.num_variables());
   std::string violation;
-  if (!model.IsFeasible(solution.values, 1e-5, &violation)) {
-    std::fprintf(stderr, "MIP certify: incumbent infeasible: %s\n", violation.c_str());
+  if (!CheckIncumbent(model, solution.values, 1e-5, 1e-5, &violation)) {
+    std::fprintf(stderr, "MIP certify: incumbent rejected: %s\n", violation.c_str());
     MEDEA_CHECK(false);
-  }
-  for (int j = 0; j < model.num_variables(); ++j) {
-    if (model.column(j).type == VarType::kContinuous) {
-      continue;
-    }
-    const double v = solution.values[static_cast<size_t>(j)];
-    MEDEA_CHECK(std::fabs(v - std::round(v)) <= 1e-5);
   }
 }
 
 }  // namespace
 
+void MipStats::Merge(const MipStats& other) {
+  nodes_explored += other.nodes_explored;
+  lp_solves += other.lp_solves;
+  lp_failures += other.lp_failures;
+  hit_time_limit = hit_time_limit || other.hit_time_limit;
+  hit_node_limit = hit_node_limit || other.hit_node_limit;
+  lp_time_seconds += other.lp_time_seconds;
+  total_pivots += other.total_pivots;
+  dual_pivots += other.dual_pivots;
+  primal_pivots += other.primal_pivots;
+  warm_start_hits += other.warm_start_hits;
+  cold_restarts += other.cold_restarts;
+  presolve.Merge(other.presolve);
+  reduced_cost_fixed += other.reduced_cost_fixed;
+  cuts_generated += other.cuts_generated;
+  cuts_active += other.cuts_active;
+  cuts_aged_out += other.cuts_aged_out;
+  cut_rounds += other.cut_rounds;
+  cut_pivots += other.cut_pivots;
+  strong_branch_solves += other.strong_branch_solves;
+  relax_round_accepted += other.relax_round_accepted;
+  relax_round_rejected += other.relax_round_rejected;
+}
+
 namespace internal {
 
-Solution SolveMipImpl(const Model& model, const MipOptions& options, MipStats* stats) {
-  if (stats != nullptr) {
-    *stats = MipStats{};
+Solution CountedSolveLp(const Model& model, const LpOptions& options, MipStats* stats) {
+  const auto start = Clock::now();
+  LpStats lp_stats;
+  Solution lp = SolveLp(model, options, &lp_stats);
+  CountLp(stats, 0, lp_stats.iterations, start);
+  return lp;
+}
+
+Solution RoundAndRepair(Model& model, const std::vector<double>& x, const LpOptions& options,
+                        MipStats* stats) {
+  std::vector<std::pair<double, double>> saved;
+  saved.reserve(static_cast<size_t>(model.num_variables()));
+  for (int j = 0; j < model.num_variables(); ++j) {
+    const auto& col = model.column(j);
+    saved.emplace_back(col.lower, col.upper);
+    if (col.type == VarType::kContinuous) {
+      continue;
+    }
+    const double v = std::clamp(std::round(x[static_cast<size_t>(j)]), col.lower, col.upper);
+    model.SetBounds(j, v, v);
   }
+  Solution repaired = CountedSolveLp(model, options, stats);
+  for (int j = 0; j < model.num_variables(); ++j) {
+    model.SetBounds(j, saved[static_cast<size_t>(j)].first, saved[static_cast<size_t>(j)].second);
+  }
+  return repaired;
+}
+
+Solution SolveMipImpl(const Model& model, const MipOptions& options, MipStats* stats) {
+  *stats = MipStats{};
   if (options.presolve) {
     PresolveStats presolve_stats;
     const Model reduced = Presolved(model, &presolve_stats);
     if (presolve_stats.proven_infeasible) {
-      if (stats != nullptr) {
-        stats->presolve = presolve_stats;
-      }
+      stats->presolve = presolve_stats;
       Solution solution;
       solution.status = SolveStatus::kInfeasible;
       return solution;
@@ -444,33 +401,18 @@ Solution SolveMipImpl(const Model& model, const MipOptions& options, MipStats* s
       reduced_options.presolve = false;
       Solution solution = SolveMipImpl(reduced, reduced_options, stats);
       // The recursion reset *stats, so fold this pass's reductions in after
-      // it returns (on top of any reductions component sub-presolves found).
-      if (stats != nullptr) {
-        stats->presolve.singleton_rows += presolve_stats.singleton_rows;
-        stats->presolve.redundant_rows += presolve_stats.redundant_rows;
-        stats->presolve.bounds_tightened += presolve_stats.bounds_tightened;
-        stats->presolve.probed_fixings += presolve_stats.probed_fixings;
-        stats->presolve.probe_implications += presolve_stats.probe_implications;
-        stats->presolve.clique_rows_added += presolve_stats.clique_rows_added;
-      }
+      // it returns.
+      stats->presolve.Merge(presolve_stats);
       return solution;
     }
   }
   if (model.num_integer_variables() == 0) {
-    const auto start = Clock::now();
-    LpStats lp_stats;
-    Solution solution = SolveLp(model, options.lp, &lp_stats);
-    if (stats != nullptr) {
-      stats->lp_solves = 1;
-      stats->nodes_explored = 1;
-      stats->cold_restarts = 1;
-      stats->total_pivots = lp_stats.iterations;
-      stats->primal_pivots = lp_stats.iterations;
-      stats->lp_time_seconds = std::chrono::duration<double>(Clock::now() - start).count();
-      if (solution.status == SolveStatus::kOptimal) {
-        stats->has_best_bound = true;
-        stats->best_bound = solution.objective;
-      }
+    Solution solution = CountedSolveLp(model, options.lp, stats);
+    stats->nodes_explored = 1;
+    stats->cold_restarts = 1;
+    if (solution.status == SolveStatus::kOptimal) {
+      stats->has_best_bound = true;
+      stats->best_bound = solution.objective;
     }
     CertifyIncumbent(model, options, solution);
     return solution;
@@ -491,49 +433,41 @@ Solution SolveMipImpl(const Model& model, const MipOptions& options, MipStats* s
 Solution SolveMip(const Model& model, const MipOptions& options, MipStats* stats) {
   obs::ScopedSpan span("solver.solve_mip", "solver");
   obs::ScopedLatencyTimer timer("solver.solve_mip_ms");
-  // When metrics are on, collect MipStats even if the caller passed none so
-  // the aggregate counters below can be fed from a single source of truth.
   MipStats local_stats;
-  MipStats* effective_stats =
-      stats != nullptr ? stats : (obs::MetricsEnabled() ? &local_stats : nullptr);
-  Solution solution = internal::SolveMipImpl(model, options, effective_stats);
-  if (effective_stats != nullptr && obs::MetricsEnabled()) {
-    obs::Count("solver.nodes_explored", effective_stats->nodes_explored);
-    obs::Count("solver.lp_solves", effective_stats->lp_solves);
-    obs::Count("solver.pivots", effective_stats->total_pivots);
-    obs::Count("solver.dual.pivots", effective_stats->dual_pivots);
-    obs::Count("solver.dual.cleanup_pivots", effective_stats->primal_pivots);
-    obs::Count("solver.warm_start_hits", effective_stats->warm_start_hits);
-    obs::Count("solver.cold_restarts", effective_stats->cold_restarts);
-    obs::Count("solver.cuts.generated", effective_stats->cuts_generated);
-    obs::Count("solver.cuts.active", effective_stats->cuts_active);
-    obs::Count("solver.cuts.aged_out", effective_stats->cuts_aged_out);
-    obs::Count("solver.cuts.rounds", effective_stats->cut_rounds);
-    obs::Count("solver.cuts.pivots", effective_stats->cut_pivots);
-    obs::Count("solver.branching.strong_branch_solves",
-               effective_stats->strong_branch_solves);
-    obs::Count("solver.branching.node_rc_fixed",
-               effective_stats->node_reduced_cost_fixed);
-    obs::Count("solver.presolve.singleton_rows", effective_stats->presolve.singleton_rows);
-    obs::Count("solver.presolve.redundant_rows", effective_stats->presolve.redundant_rows);
-    obs::Count("solver.presolve.bounds_tightened", effective_stats->presolve.bounds_tightened);
-    obs::Count("solver.presolve.probed_fixings", effective_stats->presolve.probed_fixings);
-    obs::Count("solver.presolve.probe_implications",
-               effective_stats->presolve.probe_implications);
-    obs::Count("solver.presolve.clique_rows", effective_stats->presolve.clique_rows_added);
-    obs::Count("solver.reduced_cost_fixed", effective_stats->reduced_cost_fixed);
-    obs::Count("solver.time_limit_hits", effective_stats->hit_time_limit ? 1 : 0);
-    if (solution.HasSolution() && effective_stats->has_best_bound) {
+  MipStats& out = stats != nullptr ? *stats : local_stats;
+  Solution solution = internal::SolveMipImpl(model, options, &out);
+  if (obs::MetricsEnabled()) {
+    obs::Count("solver.nodes_explored", out.nodes_explored);
+    obs::Count("solver.lp_solves", out.lp_solves);
+    obs::Count("solver.pivots", out.total_pivots);
+    obs::Count("solver.dual.pivots", out.dual_pivots);
+    obs::Count("solver.dual.cleanup_pivots", out.primal_pivots);
+    obs::Count("solver.warm_start_hits", out.warm_start_hits);
+    obs::Count("solver.cold_restarts", out.cold_restarts);
+    obs::Count("solver.cuts.generated", out.cuts_generated);
+    obs::Count("solver.cuts.active", out.cuts_active);
+    obs::Count("solver.cuts.aged_out", out.cuts_aged_out);
+    obs::Count("solver.cuts.rounds", out.cut_rounds);
+    obs::Count("solver.cuts.pivots", out.cut_pivots);
+    obs::Count("solver.branching.strong_branch_solves", out.strong_branch_solves);
+    obs::Count("solver.presolve.singleton_rows", out.presolve.singleton_rows);
+    obs::Count("solver.presolve.redundant_rows", out.presolve.redundant_rows);
+    obs::Count("solver.presolve.bounds_tightened", out.presolve.bounds_tightened);
+    obs::Count("solver.presolve.probed_fixings", out.presolve.probed_fixings);
+    obs::Count("solver.presolve.probe_implications", out.presolve.probe_implications);
+    obs::Count("solver.presolve.clique_rows", out.presolve.clique_rows_added);
+    obs::Count("solver.reduced_cost_fixed", out.reduced_cost_fixed);
+    obs::Count("solver.time_limit_hits", out.hit_time_limit ? 1 : 0);
+    if (solution.HasSolution() && out.has_best_bound) {
       // Relative distance between the incumbent and the proven bound (a
       // ratio, recorded in the ms histogram's buckets).
-      obs::Observe("solver.final_gap",
-                   std::abs(solution.objective - effective_stats->best_bound) /
-                       std::max(1.0, std::abs(solution.objective)));
+      obs::Observe("solver.final_gap", std::abs(solution.objective - out.best_bound) /
+                                           std::max(1.0, std::abs(solution.objective)));
     }
-    if (effective_stats->components > 0) {
-      obs::SetGauge("solver.components", effective_stats->components);
-      obs::Count("solver.relax_round.accepted", effective_stats->relax_round_accepted);
-      obs::Count("solver.relax_round.rejected", effective_stats->relax_round_rejected);
+    if (out.components > 0) {
+      obs::SetGauge("solver.components", out.components);
+      obs::Count("solver.relax_round.accepted", out.relax_round_accepted);
+      obs::Count("solver.relax_round.rejected", out.relax_round_rejected);
     }
   }
   return solution;

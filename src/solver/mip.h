@@ -24,20 +24,10 @@ namespace medea::solver {
 // cuts separated from the placement rows of the root relaxation, applied
 // through the incremental solver's basis-preserving AddRow and re-optimized
 // by the dual simplex (cut-and-branch: cuts generated at the root are
-// globally valid and stay for the whole search).
+// globally valid and stay for the whole search). The loop's round, per-round,
+// violation and aging limits are constants in cuts.cc.
 struct CutOptions {
   bool enable = true;
-  // Separation rounds at the root (each round: separate, add, dual re-solve).
-  int max_rounds = 8;
-  // Cuts accepted per round, most violated first.
-  int max_per_round = 32;
-  // A cut must be violated by at least this much at the current LP optimum.
-  double min_violation = 1e-4;
-  // Slack-based aging: a cut whose slack exceeds slack_tol for max_age
-  // consecutive re-solves is retired from the pool (never enters the final
-  // branching model).
-  double slack_tol = 1e-7;
-  int max_age = 2;
 };
 
 // Branch-variable selection rule (MipOptions::branching).
@@ -114,7 +104,6 @@ struct MipOptions {
   // integrality) AND its objective is within the pruning gap
   // (absolute_gap/relative_gap) of the LP bound — otherwise the component
   // falls back to exact branch and bound. Ignored unless decompose is set.
-  bool relax_and_round = true;
   int relax_round_min_integers = 64;
   // Reduced-cost fixing at the root node: after the root relaxation and
   // first incumbent, permanently fix 0/1 (and general integer) variables
@@ -126,11 +115,6 @@ struct MipOptions {
   // hold. The decomposed path enables it for its per-component fallback
   // searches, where only the certified objective is compared.
   bool reduced_cost_fixing = false;
-  // Reduced-cost fixing at every node, scoped to the node's subtree (bounds
-  // restored on backtrack). Same basis-dependence caveat as
-  // reduced_cost_fixing, which is why it is off by default; the decomposed
-  // fallback searches enable it together with root fixing.
-  bool node_reduced_cost_fixing = false;
   // Root cutting planes (see CutOptions). Applied identically on the warm
   // and cold node-LP paths, so tree identity (branching_perturbation above)
   // is preserved.
@@ -138,13 +122,10 @@ struct MipOptions {
   // Branch-variable selection. Pseudo-cost branching typically shrinks the
   // tree well below MostFractional on placement models; both rules break
   // ties by lowest variable index and are deterministic across the warm and
-  // cold configurations.
+  // cold configurations. kPseudoCost strong-branches a fixed number of root
+  // candidates (cuts.cc) with the dense solver, so the initialization is
+  // identical in every configuration.
   BranchingRule branching = BranchingRule::kPseudoCost;
-  // Fractional candidates strong-branched at the root to initialize the
-  // pseudo-cost tables (kPseudoCost only). Each candidate costs two dense
-  // LP solves; the dense solver is used so the initialization is identical
-  // in every configuration.
-  int strong_branch_candidates = 8;
   LpOptions lp;
 };
 
@@ -156,8 +137,8 @@ struct MipStats {
   int lp_failures = 0;
   bool hit_time_limit = false;
   bool hit_node_limit = false;
-  // Wall-clock seconds spent inside LP solves (node relaxations, rounding
-  // repairs and warm-start seeding).
+  // Wall-clock seconds spent inside LP solves: node relaxations, rounding
+  // repairs, warm-start seeding, the root cut loop and strong branching.
   double lp_time_seconds = 0.0;
   // Simplex pivots + bound flips summed over every LP solve, incremental and
   // dense alike — including the root cut loop and strong branching, so the
@@ -165,7 +146,9 @@ struct MipStats {
   // metric for the warm-start speedup.
   long long total_pivots = 0;
   // Pivot split: dual-simplex pivots (the warm-restart path) vs primal
-  // pivots (cleanup, bound flips and dense-solver iterations).
+  // pivots (cleanup, bound flips and dense-solver iterations). Every path
+  // counts its LPs the same way, so total_pivots == dual_pivots +
+  // primal_pivots always holds.
   long long dual_pivots = 0;
   long long primal_pivots = 0;
   // Node relaxations re-entered from the parent's final basis by the
@@ -182,10 +165,6 @@ struct MipStats {
   // (MipOptions::reduced_cost_fixing). Summed over all components of a
   // decomposed solve.
   int reduced_cost_fixed = 0;
-  // Integer variables fixed by node-level reduced-cost fixing
-  // (MipOptions::node_reduced_cost_fixing), counted per node application
-  // (the same variable can be fixed in many subtrees).
-  long long node_reduced_cost_fixed = 0;
   // --- Root cutting planes (MipOptions::cuts) -------------------------------
   // Cover/clique cuts generated by the root separation loop, how many were
   // still tight when branching started (active: appended to the search
@@ -217,6 +196,12 @@ struct MipStats {
   // the root relaxation bound. Consumed by verify::CertifySolution.
   bool has_best_bound = false;
   double best_bound = 0.0;
+
+  // Folds the counters of a sub-search (a presolved re-solve or one
+  // component of a decomposed solve) into this one: counts add, limit flags
+  // OR. The decomposition shape (components, largest_component_integers)
+  // and the dual bound are left alone; their owners set them.
+  void Merge(const MipStats& other);
 };
 
 // Solves `model` to (proven or budget-limited) optimality.

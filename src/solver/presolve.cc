@@ -50,6 +50,16 @@ double MinActivity(const Model::Row& row, double scale, const std::vector<Bounds
 
 }  // namespace
 
+void PresolveStats::Merge(const PresolveStats& other) {
+  singleton_rows += other.singleton_rows;
+  redundant_rows += other.redundant_rows;
+  bounds_tightened += other.bounds_tightened;
+  probed_fixings += other.probed_fixings;
+  probe_implications += other.probe_implications;
+  clique_rows_added += other.clique_rows_added;
+  proven_infeasible = proven_infeasible || other.proven_infeasible;
+}
+
 Model Presolved(const Model& model, PresolveStats* stats) {
   PresolveStats local;
   PresolveStats& out = stats != nullptr ? *stats : local;

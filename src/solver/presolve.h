@@ -41,6 +41,9 @@ struct PresolveStats {
   // point, so the MIP optimum is preserved; the LP relaxation tightens.
   int clique_rows_added = 0;
   bool proven_infeasible = false;
+
+  // Adds another pass's reductions to these (proven_infeasible ORs).
+  void Merge(const PresolveStats& other);
 };
 
 // Returns a reduced copy of `model` with the same variables. When

@@ -160,7 +160,8 @@ std::vector<TaskScheduler::TaskAllocation> TaskScheduler::Tick(SimTimeMs now) {
       MEDEA_CHECK(result.ok());
       queue.used += task.request.demand;
       queue.app_used[task.app] += task.request.demand;
-      running_.emplace(*result, RunningTask{qi, task.request.demand, task.app});
+      running_.emplace(*result,
+                       RunningTask{qi, task.request.demand, task.app, task.request.duration_ms});
       allocations.push_back(TaskAllocation{*result, task.app, node,
                                            now + task.request.duration_ms,
                                            now - task.submit_time});
@@ -184,7 +185,7 @@ void TaskScheduler::CompleteTask(ContainerId container) {
   MEDEA_CHECK(state_->Release(container).ok());
 }
 
-Status TaskScheduler::EvictTask(ContainerId container, SimTimeMs now, SimTimeMs duration_ms) {
+Status TaskScheduler::EvictTask(ContainerId container, SimTimeMs now) {
   const auto it = running_.find(container);
   if (it == running_.end()) {
     return Status::NotFound("no such running task");
@@ -200,7 +201,7 @@ Status TaskScheduler::EvictTask(ContainerId container, SimTimeMs now, SimTimeMs 
   MEDEA_CHECK(state_->Release(container).ok());
   // Head-of-queue requeue: the killed task reruns as soon as possible.
   queue.pending.push_front(
-      PendingTask{task.app, TaskRequest{task.demand, duration_ms, std::move(tags)}, now});
+      PendingTask{task.app, TaskRequest{task.demand, task.duration_ms, std::move(tags)}, now});
   return Status::Ok();
 }
 

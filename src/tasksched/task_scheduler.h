@@ -86,9 +86,9 @@ class TaskScheduler {
 
   // Evicts a running task: its container is released and the task re-enters
   // its queue's head with a fresh submission time (§5.4 conflict policy
-  // "kill containers of task-based jobs"). `remaining_ms` is re-run from
-  // scratch, as YARN kills do not checkpoint.
-  Status EvictTask(ContainerId container, SimTimeMs now, SimTimeMs duration_ms);
+  // "kill containers of task-based jobs"). The task re-runs its original
+  // duration from scratch, as YARN kills do not checkpoint.
+  Status EvictTask(ContainerId container, SimTimeMs now);
 
   // --- Reservations (§5.4 conflict policy iii) --------------------------------
   //
@@ -139,6 +139,7 @@ class TaskScheduler {
     size_t queue_index = 0;
     Resource demand;
     ApplicationId app;
+    SimTimeMs duration_ms = 0;  // the request's, re-run on eviction
   };
   std::unordered_map<ContainerId, RunningTask, std::hash<ContainerId>> running_;
   std::unordered_map<ApplicationId, std::vector<std::pair<NodeId, Resource>>,

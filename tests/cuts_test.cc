@@ -77,13 +77,12 @@ TEST(CoverCutTest, SeparatesMinimalCoverFromFractionalKnapsack) {
   const int z = m.AddBinary(1.0);
   m.AddRow({{x, 3.0}, {y, 3.0}, {z, 3.0}}, RowSense::kLessEqual, 7.0);
 
-  CutOptions options;
   const std::vector<Cut> cuts =
-      SeparateCoverCuts(m, m.num_rows(), {0.75, 0.75, 0.75}, options);
+      SeparateCoverCuts(m, m.num_rows(), {0.75, 0.75, 0.75}, kMinCutViolation);
   ASSERT_EQ(cuts.size(), 1u);
   EXPECT_EQ(cuts[0].terms.size(), 3u);
   EXPECT_DOUBLE_EQ(cuts[0].rhs, 2.0);
-  EXPECT_GT(cuts[0].violation, options.min_violation);
+  EXPECT_GT(cuts[0].violation, kMinCutViolation);
   ExpectCutsValid(m, cuts);
 }
 
@@ -98,9 +97,8 @@ TEST(CoverCutTest, ExtendsCoverWithDominatingCoefficient) {
   const int z = m.AddBinary(1.0);
   m.AddRow({{w, 5.0}, {x, 3.0}, {y, 3.0}, {z, 3.0}}, RowSense::kLessEqual, 7.0);
 
-  CutOptions options;
   const std::vector<Cut> cuts =
-      SeparateCoverCuts(m, m.num_rows(), {0.0, 0.75, 0.75, 0.75}, options);
+      SeparateCoverCuts(m, m.num_rows(), {0.0, 0.75, 0.75, 0.75}, kMinCutViolation);
   ASSERT_EQ(cuts.size(), 1u);
   EXPECT_EQ(cuts[0].terms.size(), 4u);  // extension pulled w in
   EXPECT_DOUBLE_EQ(cuts[0].rhs, 2.0);
@@ -116,9 +114,8 @@ TEST(CoverCutTest, GreaterEqualRowSeparatesThroughNegation) {
   const int z = m.AddBinary(1.0);
   m.AddRow({{x, -3.0}, {y, -3.0}, {z, -3.0}}, RowSense::kGreaterEqual, -7.0);
 
-  CutOptions options;
   const std::vector<Cut> cuts =
-      SeparateCoverCuts(m, m.num_rows(), {0.75, 0.75, 0.75}, options);
+      SeparateCoverCuts(m, m.num_rows(), {0.75, 0.75, 0.75}, kMinCutViolation);
   ASSERT_EQ(cuts.size(), 1u);
   EXPECT_DOUBLE_EQ(cuts[0].rhs, 2.0);
   ExpectCutsValid(m, cuts);
@@ -133,8 +130,7 @@ TEST(CoverCutTest, IneligibleTermsTightenTheResidualKnapsack) {
   const int c = m.AddContinuous(1.0, 2.0, 0.0);
   m.AddRow({{x, 3.0}, {y, 3.0}, {c, 2.0}}, RowSense::kLessEqual, 7.0);
 
-  CutOptions options;
-  const std::vector<Cut> cuts = SeparateCoverCuts(m, m.num_rows(), {0.9, 0.9, 1.0}, options);
+  const std::vector<Cut> cuts = SeparateCoverCuts(m, m.num_rows(), {0.9, 0.9, 1.0}, kMinCutViolation);
   ASSERT_EQ(cuts.size(), 1u);
   EXPECT_DOUBLE_EQ(cuts[0].rhs, 1.0);  // x + y <= 1
   ExpectCutsValid(m, cuts);
@@ -150,9 +146,8 @@ TEST(CliqueCutTest, PairwiseConflictingPrefixYieldsCliqueCut) {
   const int w = m.AddBinary(1.0);
   m.AddRow({{x, 4.0}, {y, 4.0}, {z, 4.0}, {w, 1.0}}, RowSense::kLessEqual, 7.0);
 
-  CutOptions options;
   const std::vector<Cut> cuts =
-      SeparateCliqueCuts(m, m.num_rows(), {0.5, 0.5, 0.5, 0.0}, options);
+      SeparateCliqueCuts(m, m.num_rows(), {0.5, 0.5, 0.5, 0.0}, kMinCutViolation);
   ASSERT_EQ(cuts.size(), 1u);
   EXPECT_EQ(cuts[0].terms.size(), 3u);
   EXPECT_DOUBLE_EQ(cuts[0].rhs, 1.0);
@@ -168,8 +163,7 @@ TEST(CliqueCutTest, NoCutWhenTwoLargestFit) {
   const int z = m.AddBinary(1.0);
   m.AddRow({{x, 3.0}, {y, 3.0}, {z, 3.0}}, RowSense::kLessEqual, 7.0);
 
-  CutOptions options;
-  EXPECT_TRUE(SeparateCliqueCuts(m, m.num_rows(), {0.75, 0.75, 0.75}, options).empty());
+  EXPECT_TRUE(SeparateCliqueCuts(m, m.num_rows(), {0.75, 0.75, 0.75}, kMinCutViolation).empty());
 }
 
 TEST(CliqueCutTest, SatisfiedCutIsNotSeparated) {
@@ -178,9 +172,8 @@ TEST(CliqueCutTest, SatisfiedCutIsNotSeparated) {
   const int y = m.AddBinary(1.0);
   m.AddRow({{x, 4.0}, {y, 4.0}}, RowSense::kLessEqual, 7.0);
 
-  CutOptions options;
   // x + y = 0.9 <= 1: the clique inequality holds at this point.
-  EXPECT_TRUE(SeparateCliqueCuts(m, m.num_rows(), {0.45, 0.45}, options).empty());
+  EXPECT_TRUE(SeparateCliqueCuts(m, m.num_rows(), {0.45, 0.45}, kMinCutViolation).empty());
 }
 
 // Randomized validity sweep: on random small knapsack models, every cut both
@@ -213,10 +206,9 @@ TEST(CutValidityTest, RandomKnapsacksAllCutsValid) {
     for (int j = 0; j < n; ++j) {
       x[static_cast<size_t>(j)] = rng.NextDouble(0.0, 1.0);
     }
-    CutOptions options;
-    options.min_violation = 1e-6;
-    std::vector<Cut> cuts = SeparateCoverCuts(m, m.num_rows(), x, options);
-    const std::vector<Cut> cliques = SeparateCliqueCuts(m, m.num_rows(), x, options);
+    const double min_violation = 1e-6;
+    std::vector<Cut> cuts = SeparateCoverCuts(m, m.num_rows(), x, min_violation);
+    const std::vector<Cut> cliques = SeparateCliqueCuts(m, m.num_rows(), x, min_violation);
     cuts.insert(cuts.end(), cliques.begin(), cliques.end());
     ExpectCutsValid(m, cuts);
   }
@@ -275,24 +267,25 @@ TEST(AddRootCutsTest, DisabledLeavesModelUntouched) {
   const int rows_before = m.num_rows();
   MipOptions options;
   options.cuts.enable = false;
-  RootCutStats stats;
+  MipStats stats;
   AddRootCuts(m, options, &stats, SearchBudget(options));
   EXPECT_EQ(m.num_rows(), rows_before);
-  EXPECT_EQ(stats.generated, 0);
+  EXPECT_EQ(stats.cuts_generated, 0);
   EXPECT_EQ(stats.lp_solves, 0);
 }
 
 TEST(AddRootCutsTest, CountsDualPivotsFromTheCutLoop) {
   Model m = testing::PlacementModel(12, 6, 5);
   MipOptions options;
-  RootCutStats stats;
+  MipStats stats;
   AddRootCuts(m, options, &stats, SearchBudget(options));
-  ASSERT_GT(stats.generated, 0);
+  ASSERT_GT(stats.cuts_generated, 0);
   // Each accepted cut is repaired by the dual simplex on the extended basis:
   // the loop must be exercising the dual warm-restart path, not cold primal
   // re-solves.
   EXPECT_GT(stats.dual_pivots, 0);
-  EXPECT_GE(stats.pivots, stats.dual_pivots);
+  EXPECT_EQ(stats.cut_pivots, stats.total_pivots);
+  EXPECT_EQ(stats.total_pivots, stats.dual_pivots + stats.primal_pivots);
 }
 
 // A search whose deadline has passed spends nothing more at the root: the
@@ -305,15 +298,15 @@ TEST(AddRootCutsTest, ExpiredSearchBudgetStopsTheRootWork) {
   const SearchBudget budget(options);
   while (!budget.TimeUp()) {
   }
-  RootCutStats cut_stats;
+  MipStats cut_stats;
   AddRootCuts(m, options, &cut_stats, budget);
   EXPECT_EQ(cut_stats.lp_solves, 0);
   EXPECT_EQ(m.num_rows(), rows_before);
 
   PseudoCosts pc;
-  StrongBranchStats sb_stats;
+  MipStats sb_stats;
   InitPseudoCostsAtRoot(m, options, &pc, &sb_stats, budget);
-  EXPECT_LE(sb_stats.lp_solves, 1);  // at most the time-limited root LP
+  EXPECT_LE(sb_stats.strong_branch_solves, 1);  // at most the time-limited root LP
   for (int j = 0; j < m.num_variables(); ++j) {
     EXPECT_EQ(pc.down_count[static_cast<size_t>(j)], 0);
     EXPECT_EQ(pc.up_count[static_cast<size_t>(j)], 0);
@@ -324,10 +317,11 @@ TEST(PseudoCostTest, StrongBranchInitObservesBothDirections) {
   const Model m = testing::PlacementModel(10, 5, 7);
   MipOptions options;  // branching defaults to kPseudoCost
   PseudoCosts pc;
-  StrongBranchStats stats;
+  MipStats stats;
   InitPseudoCostsAtRoot(m, options, &pc, &stats, SearchBudget(options));
   ASSERT_FALSE(pc.empty());
-  EXPECT_GT(stats.lp_solves, 0);
+  EXPECT_GT(stats.strong_branch_solves, 0);
+  EXPECT_EQ(stats.lp_solves, stats.strong_branch_solves);
   // Every strong-branched candidate contributes a down and an up
   // observation (kOptimal or kInfeasible children both count).
   int observed = 0;
@@ -340,7 +334,7 @@ TEST(PseudoCostTest, StrongBranchInitObservesBothDirections) {
     }
   }
   EXPECT_GT(observed, 0);
-  EXPECT_LE(observed, options.strong_branch_candidates);
+  EXPECT_LE(observed, kStrongBranchCandidates);
 }
 
 TEST(PseudoCostTest, MostFractionalRuleSkipsInitialization) {
@@ -348,9 +342,9 @@ TEST(PseudoCostTest, MostFractionalRuleSkipsInitialization) {
   MipOptions options;
   options.branching = BranchingRule::kMostFractional;
   PseudoCosts pc;
-  StrongBranchStats stats;
+  MipStats stats;
   InitPseudoCostsAtRoot(m, options, &pc, &stats, SearchBudget(options));
-  EXPECT_EQ(stats.lp_solves, 0);
+  EXPECT_EQ(stats.strong_branch_solves, 0);
   for (int j = 0; j < m.num_variables(); ++j) {
     EXPECT_EQ(pc.down_count[static_cast<size_t>(j)], 0);
     EXPECT_EQ(pc.up_count[static_cast<size_t>(j)], 0);

@@ -190,6 +190,7 @@ TEST(DecomposedSolveTest, StitchedObjectiveMatchesMonolithicExactly) {
   MipStats mono_stats;
   const Solution mono = SolveMip(m, ExactOptions(), &mono_stats);
   ASSERT_EQ(mono.status, SolveStatus::kOptimal);
+  EXPECT_EQ(mono_stats.total_pivots, mono_stats.dual_pivots + mono_stats.primal_pivots);
 
   MipStats dec_stats;
   const Solution dec = SolveMip(m, DecomposeExact(), &dec_stats);
@@ -200,6 +201,23 @@ TEST(DecomposedSolveTest, StitchedObjectiveMatchesMonolithicExactly) {
   ASSERT_EQ(static_cast<int>(dec.values.size()), m.num_variables());
   // The stitched assignment itself scores the reported objective.
   EXPECT_NEAR(m.Objective(dec.values), dec.objective, 1e-9);
+}
+
+// The stitcher merges every counter of the component searches: the pivot
+// split, the root cut loop and strong branching all reach the caller.
+TEST(DecomposedSolveTest, StitchedStatsKeepEveryComponentCounter) {
+  const Model m = testing::DecomposablePlacementModel(40, 20, 5, /*seed=*/1);
+  MipOptions options;
+  options.decompose = true;
+  MipStats stats;
+  const Solution dec = SolveMip(m, options, &stats);
+  ASSERT_TRUE(dec.HasSolution());
+  EXPECT_EQ(stats.components, 5);
+  EXPECT_GT(stats.total_pivots, 0);
+  EXPECT_EQ(stats.total_pivots, stats.dual_pivots + stats.primal_pivots);
+  EXPECT_GT(stats.cuts_generated, 0);
+  EXPECT_GT(stats.cut_pivots, 0);
+  EXPECT_GT(stats.strong_branch_solves, 0);
 }
 
 TEST(DecomposedSolveTest, StitchingMapsInterleavedIndicesCorrectly) {
@@ -345,6 +363,9 @@ TEST(RelaxAndRoundTest, IntegralRelaxationIsAcceptedWithoutSearch) {
   EXPECT_EQ(stats.relax_round_accepted, 2);
   EXPECT_EQ(stats.relax_round_rejected, 0);
   EXPECT_EQ(stats.nodes_explored, 0);
+  // The fast lane's LPs count their pivots like every other LP.
+  EXPECT_GT(stats.total_pivots, 0);
+  EXPECT_EQ(stats.total_pivots, stats.dual_pivots + stats.primal_pivots);
 }
 
 TEST(RelaxAndRoundTest, ThresholdGatesTheFastLane) {

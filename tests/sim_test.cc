@@ -457,12 +457,14 @@ TEST(TaskSchedulerReservationTest, EvictRequeuesAtHead) {
   const auto allocations = sched.Tick(0);
   ASSERT_EQ(allocations.size(), 1u);
   EXPECT_TRUE(sched.IsRunning(allocations[0].container));
-  ASSERT_TRUE(sched.EvictTask(allocations[0].container, 100, 5000).ok());
+  ASSERT_TRUE(sched.EvictTask(allocations[0].container, 100).ok());
   EXPECT_FALSE(sched.IsRunning(allocations[0].container));
   EXPECT_EQ(sched.pending_tasks(), 1u);
   EXPECT_EQ(state.num_containers(), 0u);
-  // It reruns on the next tick.
-  EXPECT_EQ(sched.Tick(200).size(), 1u);
+  // It reruns on the next tick, from scratch with its original duration.
+  const auto rerun = sched.Tick(200);
+  ASSERT_EQ(rerun.size(), 1u);
+  EXPECT_EQ(rerun[0].end_time, 200 + 5000);
 }
 
 // ---- Unavailability trace ------------------------------------------------------
