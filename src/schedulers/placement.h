@@ -81,10 +81,10 @@ class LraScheduler {
 };
 
 // Applies a plan to `state` by allocating the planned containers (tagging
-// each with its request tags plus the automatic appID tag). Used by the
-// task-based scheduler's commit path and by tests. Returns false and rolls
-// back the partially applied LRA if an allocation fails (placement
-// conflict, §5.4).
+// each with its request tags plus the automatic appID tag). The only path
+// from a plan to allocations: LraPipeline::Commit, the fuzzer, benches and
+// examples all call it. Returns false and rolls back the partially applied
+// LRA if an allocation fails (placement conflict, §5.4).
 bool CommitPlan(const PlacementProblem& problem, const PlacementPlan& plan, ClusterState& state,
                 std::vector<bool>* committed_lras = nullptr);
 

@@ -39,31 +39,36 @@ Resource TaskScheduler::QueueCap(const Queue& queue) const {
       static_cast<int32_t>(static_cast<double>(total.vcores) * queue.config.capacity_fraction));
 }
 
-NodeId TaskScheduler::PickNode(const TaskRequest& request) const {
-  // Feasible nodes, least-loaded first.
-  std::vector<NodeId> feasible;
+std::vector<TaskScheduler::NodeLoad> TaskScheduler::BuildLoadTable() const {
+  std::vector<NodeLoad> table;
+  table.reserve(state_->num_nodes());
   state_->ForEachNode([&](const Node& node) {
     if (!node.available()) {
       return;
     }
     // Reserved capacity is invisible to task allocation.
-    const Resource free = node.Free() - ReservedOn(node.id());
-    if (!free.Fits(request.demand) || free.IsNegative()) {
-      return;
-    }
-    feasible.push_back(node.id());
+    table.push_back(NodeLoad{node.id(), node.used().DominantShareOf(node.capacity()),
+                             node.Free() - ReservedOn(node.id())});
   });
-  if (feasible.empty()) {
-    return NodeId::Invalid();
-  }
-  std::stable_sort(feasible.begin(), feasible.end(), [&](NodeId a, NodeId b) {
-    return state_->node(a).used().DominantShareOf(state_->node(a).capacity()) <
-           state_->node(b).used().DominantShareOf(state_->node(b).capacity());
-  });
+  return table;
+}
 
+size_t TaskScheduler::PickNode(const TaskRequest& request,
+                               const std::vector<NodeLoad>& table) const {
+  const auto fits = [&](const NodeLoad& entry) {
+    return entry.free.Fits(request.demand) && !entry.free.IsNegative();
+  };
+  // Least-loaded feasible entry; the table is in id order, so keeping the
+  // first of equal loads breaks ties by id, as a stable sort would.
+  size_t least = SIZE_MAX;
+  for (size_t i = 0; i < table.size(); ++i) {
+    if (fits(table[i]) && (least == SIZE_MAX || table[i].load < table[least].load)) {
+      least = i;
+    }
+  }
   // Untagged tasks (the vast majority): plain least-loaded.
-  if (request.tags.empty() || manager_ == nullptr) {
-    return feasible[0];
+  if (least == SIZE_MAX || request.tags.empty() || manager_ == nullptr) {
+    return least;
   }
 
   // Tagged task: among the least-loaded feasible nodes, minimize the
@@ -79,16 +84,27 @@ NodeId TaskScheduler::PickNode(const TaskRequest& request) const {
     }
   }
   if (own.empty()) {
-    return feasible[0];
+    return least;
   }
   constexpr size_t kScoredNodes = 16;
-  if (feasible.size() > kScoredNodes) {
-    feasible.resize(kScoredNodes);
+  std::vector<size_t> feasible;
+  for (size_t i = 0; i < table.size(); ++i) {
+    if (fits(table[i])) {
+      feasible.push_back(i);
+    }
   }
-  NodeId best = feasible[0];
+  const size_t scored = std::min(feasible.size(), kScoredNodes);
+  std::partial_sort(feasible.begin(), feasible.begin() + static_cast<long>(scored),
+                    feasible.end(), [&](size_t a, size_t b) {
+                      return table[a].load < table[b].load ||
+                             (table[a].load == table[b].load && a < b);
+                    });
+  feasible.resize(scored);
+  size_t best = feasible[0];
   double best_extent = 1e300;
   ClusterState& scratch = *state_;  // hypothetical allocs are rolled back
-  for (NodeId n : feasible) {
+  for (size_t i : feasible) {
+    const NodeId n = table[i].node;
     auto placed = scratch.Allocate(ApplicationId(0xFFFFFFu), n, request.demand, request.tags,
                                    /*long_running=*/false);
     if (!placed.ok()) {
@@ -104,7 +120,7 @@ NodeId TaskScheduler::PickNode(const TaskRequest& request) const {
     MEDEA_CHECK(scratch.Release(*placed).ok());
     if (extent < best_extent - 1e-12) {
       best_extent = extent;
-      best = n;
+      best = i;
     }
   }
   return best;
@@ -142,6 +158,10 @@ size_t TaskScheduler::NextTaskIndex(const Queue& queue) const {
 
 std::vector<TaskScheduler::TaskAllocation> TaskScheduler::Tick(SimTimeMs now) {
   std::vector<TaskAllocation> allocations;
+  // Built when the first task clears its queue cap and shared by every
+  // queue: nothing but this Tick's own allocations mutates the state here.
+  std::vector<NodeLoad> table;
+  bool table_built = false;
   for (size_t qi = 0; qi < queues_.size(); ++qi) {
     Queue& queue = queues_[qi];
     const Resource cap = QueueCap(queue);
@@ -151,13 +171,22 @@ std::vector<TaskScheduler::TaskAllocation> TaskScheduler::Tick(SimTimeMs now) {
       if (!cap.Fits(queue.used + task.request.demand)) {
         break;  // queue at capacity; head-of-line per Capacity Scheduler
       }
-      const NodeId node = PickNode(task.request);
-      if (!node.IsValid()) {
+      if (!table_built) {
+        table = BuildLoadTable();
+        table_built = true;
+      }
+      const size_t pick = PickNode(task.request, table);
+      if (pick == SIZE_MAX) {
         break;  // no node fits right now
       }
+      NodeLoad& entry = table[pick];
+      const NodeId node = entry.node;
       auto result = state_->Allocate(task.app, node, task.request.demand, task.request.tags,
                                      /*long_running=*/false);
       MEDEA_CHECK(result.ok());
+      const Node& placed_on = state_->node(node);
+      entry.load = placed_on.used().DominantShareOf(placed_on.capacity());
+      entry.free -= task.request.demand;
       queue.used += task.request.demand;
       queue.app_used[task.app] += task.request.demand;
       running_.emplace(*result,
@@ -178,11 +207,20 @@ std::vector<TaskScheduler::TaskAllocation> TaskScheduler::Tick(SimTimeMs now) {
 void TaskScheduler::CompleteTask(ContainerId container) {
   const auto it = running_.find(container);
   MEDEA_CHECK(it != running_.end());
-  Queue& queue = queues_[it->second.queue_index];
-  queue.used -= it->second.demand;
-  queue.app_used[it->second.app] -= it->second.demand;
+  ReleaseUsage(it->second);
   running_.erase(it);
   MEDEA_CHECK(state_->Release(container).ok());
+}
+
+void TaskScheduler::ReleaseUsage(const RunningTask& task) {
+  Queue& queue = queues_[task.queue_index];
+  queue.used -= task.demand;
+  const auto it = queue.app_used.find(task.app);
+  MEDEA_CHECK(it != queue.app_used.end());
+  it->second -= task.demand;
+  if (it->second == Resource()) {
+    queue.app_used.erase(it);  // NextTaskIndex reads a missing app as share 0
+  }
 }
 
 Status TaskScheduler::EvictTask(ContainerId container, SimTimeMs now) {
@@ -191,16 +229,14 @@ Status TaskScheduler::EvictTask(ContainerId container, SimTimeMs now) {
     return Status::NotFound("no such running task");
   }
   const RunningTask task = it->second;
-  Queue& queue = queues_[task.queue_index];
-  queue.used -= task.demand;
-  queue.app_used[task.app] -= task.demand;
+  ReleaseUsage(task);
   running_.erase(it);
   const ContainerInfo* info = state_->FindContainer(container);
   MEDEA_CHECK(info != nullptr);
   std::vector<TagId> tags = info->tags;
   MEDEA_CHECK(state_->Release(container).ok());
   // Head-of-queue requeue: the killed task reruns as soon as possible.
-  queue.pending.push_front(
+  queues_[task.queue_index].pending.push_front(
       PendingTask{task.app, TaskRequest{task.demand, task.duration_ms, std::move(tags)}, now});
   return Status::Ok();
 }

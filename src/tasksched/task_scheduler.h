@@ -94,7 +94,7 @@ class TaskScheduler {
   //
   // A reservation withholds capacity on specific nodes from *task*
   // allocations so that freed resources accumulate for a pending LRA. The
-  // cluster state is untouched; only PickNode honours reservations.
+  // cluster state is untouched; only the heartbeat's load table honours them.
 
   void AddReservation(ApplicationId app, const std::vector<std::pair<NodeId, Resource>>& holds);
   void ReleaseReservation(ApplicationId app);
@@ -114,6 +114,12 @@ class TaskScheduler {
     TaskRequest request;
     SimTimeMs submit_time = 0;
   };
+  struct RunningTask {
+    size_t queue_index = 0;
+    Resource demand;
+    ApplicationId app;
+    SimTimeMs duration_ms = 0;  // the request's, re-run on eviction
+  };
   struct Queue {
     QueueConfig config;
     std::deque<PendingTask> pending;
@@ -122,11 +128,28 @@ class TaskScheduler {
     std::unordered_map<ApplicationId, Resource, std::hash<ApplicationId>> app_used;
   };
 
+  // One available node as a heartbeat sees it: its load (dominant share of
+  // capacity in use) and the capacity left for tasks (free minus
+  // reservations, possibly negative).
+  struct NodeLoad {
+    NodeId node;
+    double load = 0.0;
+    Resource free;
+  };
+
   Resource QueueCap(const Queue& queue) const;
-  // Least-loaded node that fits `demand`; invalid if none. Tagged tasks
-  // (with a manager present) prefer, among the least-loaded feasible
-  // nodes, the one best satisfying their own constraints.
-  NodeId PickNode(const TaskRequest& request) const;
+  // The heartbeat's node-load table: one entry per available node, in id
+  // order. Tick builds it once and updates the chosen entry after each
+  // allocation, so it stays equal to a fresh build.
+  std::vector<NodeLoad> BuildLoadTable() const;
+  // Index into `table` of the least-loaded entry that fits the request
+  // (ties to the lowest node id); SIZE_MAX if none. Tagged tasks (with a
+  // manager present) prefer, among the least-loaded feasible nodes, the one
+  // best satisfying their own constraints.
+  size_t PickNode(const TaskRequest& request, const std::vector<NodeLoad>& table) const;
+  // Returns a finished or evicted task's usage to its queue; an application
+  // whose usage drops to zero leaves `app_used`.
+  void ReleaseUsage(const RunningTask& task);
   // Index into queue.pending of the next task per the queue's policy;
   // SIZE_MAX when the queue is empty.
   size_t NextTaskIndex(const Queue& queue) const;
@@ -135,12 +158,6 @@ class TaskScheduler {
   const ConstraintManager* manager_;
   std::vector<Queue> queues_;
   std::unordered_map<std::string, size_t> queue_index_;
-  struct RunningTask {
-    size_t queue_index = 0;
-    Resource demand;
-    ApplicationId app;
-    SimTimeMs duration_ms = 0;  // the request's, re-run on eviction
-  };
   std::unordered_map<ContainerId, RunningTask, std::hash<ContainerId>> running_;
   std::unordered_map<ApplicationId, std::vector<std::pair<NodeId, Resource>>,
                      std::hash<ApplicationId>>
